@@ -46,13 +46,18 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test alloc_probe
 # virtual-clock schedule must never cost more than the serial one.
 cargo run -q --release -p trkx-bench --bin fig3_epoch_time -- --overlap --tiny
 
-# DDP golden + determinism at two pool sizes: overlapped bucket
-# all-reduce must stay bit-identical to the post-hoc sync (both the
-# threaded and the simulated trainer), grad-readiness must fire exactly
-# once per leaf at its true last accumulation, and the DDP gradient-sync
-# step must stay allocation-free in steady state.
+# DDP golden + determinism at two pool sizes: the threaded and the
+# sequential executor of the one GNN trainer must train bit-identical
+# models, overlapped bucket all-reduce must stay bit-identical to the
+# post-hoc sync under both executors, the trainer golden curves
+# (full-graph, both executors, baseline sampler, prefetch, early-stop
+# lockstep) must hold, grad-readiness must fire exactly once per leaf at
+# its true last accumulation, and the DDP gradient-sync step must stay
+# allocation-free in steady state.
 RAYON_NUM_THREADS=1 cargo test -q --release --test ddp_equivalence
 RAYON_NUM_THREADS=4 cargo test -q --release --test ddp_equivalence
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test train_harness
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_harness
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --test grad_ready
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test grad_ready
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-ddp --test alloc_probe
@@ -73,6 +78,11 @@ cargo run -q --release -p trkx-bench --bin ddp -- --tiny --out /tmp/BENCH_ddp_sm
 # already in the workspace suite above; this re-runs it by name so a
 # serving regression fails fast with its own line in the CI log.
 cargo test -q --release --test serve_e2e
+
+# JSON depth gate: request lines nested past the parser's limit must be
+# an error, never a stack-overflow abort (the serve-side case is in the
+# workspace suite above; this runs the shim's own depth test).
+(cd shims/serde_json && cargo test -q --release nesting_is_limited_to_max_depth)
 
 # Serve bench smoke: one tiny (workers, batch) arm through the
 # micro-batching core; asserts every sized event completes and the

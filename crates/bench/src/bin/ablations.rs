@@ -43,8 +43,8 @@ fn allreduce_ablation() {
     );
     let mut t = Table::new(&["P", "per-tensor (us)", "coalesced (us)", "ratio"]);
     for p in [2usize, 4, 8, 16] {
-        let per = model.per_tensor_time(&sizes, p) * 1e6;
-        let coal = model.coalesced_time(&sizes, p) * 1e6;
+        let per = model.bucketed_time(&sizes, 0, p) * 1e6;
+        let coal = model.bucketed_time(&sizes, usize::MAX, p) * 1e6;
         t.row(vec![
             p.to_string(),
             format!("{per:.1}"),
@@ -67,8 +67,8 @@ fn bucket_size_ablation() {
     let sizes: Vec<usize> = net.params().iter().map(|p| p.numel() * 4).collect();
     let p = 4;
     let mut t = Table::new(&["bucket", "time (us)", "vs per-tensor", "vs coalesced"]);
-    let per = model.per_tensor_time(&sizes, p);
-    let coal = model.coalesced_time(&sizes, p);
+    let per = model.bucketed_time(&sizes, 0, p);
+    let coal = model.bucketed_time(&sizes, usize::MAX, p);
     for (label, bytes) in [
         ("1 B (= per-tensor)", 1usize),
         ("4 KiB", 4 << 10),

@@ -6,7 +6,7 @@
 //! cargo run -p trkx-bench --bin ddp --release [-- --tiny --out BENCH_ddp.json]
 //! ```
 //!
-//! The sweep runs the single-thread DDP simulator (exact per-rank
+//! The sweep runs the sequential DDP executor (exact per-rank
 //! timings regardless of host core count) over the bucket ladder
 //! per-tensor → 256 KB → 1 MB → coalesced, with the bucket all-reduces
 //! either fired post-backward (serial) or during backward as each
@@ -22,10 +22,9 @@
 
 use trkx_bench::{arg_flag, arg_value, Table};
 use trkx_core::{
-    prepare_graphs, train_minibatch_hogwild, train_minibatch_simulated_opts, GnnTrainConfig,
-    SamplerKind,
+    prepare_graphs, train_minibatch, train_minibatch_hogwild, GnnTrainConfig, SamplerKind,
 };
-use trkx_ddp::{AllReduceStrategy, DdpConfig};
+use trkx_ddp::{AllReduceStrategy, DdpConfig, Executor};
 use trkx_sampling::ShadowConfig;
 
 fn main() {
@@ -90,14 +89,14 @@ fn main() {
     let mut loss_bits = Vec::new();
     for (name, strategy) in ladder {
         for overlap in [false, true] {
-            let r = train_minibatch_simulated_opts(
+            let r = train_minibatch(
                 &cfg,
                 SamplerKind::Bulk { k: 2 * workers },
-                false,
-                DdpConfig::new(workers, strategy).with_overlap(overlap),
+                DdpConfig::new(workers, strategy)
+                    .with_overlap(overlap)
+                    .with_executor(Executor::Sequential),
                 train,
                 val,
-                Vec::new(),
             );
             let comm_s: f64 = r.epochs.iter().map(|e| e.timing.comm_virtual_s).sum();
             let exposed_s: f64 = r.epochs.iter().map(|e| e.timing.comm_exposed_s).sum();
@@ -142,14 +141,12 @@ fn main() {
     );
 
     println!("\n# Hogwild vs synchronous DDP, P={workers}");
-    let sync = train_minibatch_simulated_opts(
+    let sync = train_minibatch(
         &cfg,
         SamplerKind::Bulk { k: 2 * workers },
-        false,
-        DdpConfig::new(workers, AllReduceStrategy::Coalesced),
+        DdpConfig::new(workers, AllReduceStrategy::Coalesced).with_executor(Executor::Sequential),
         train,
         val,
-        Vec::new(),
     );
     let hog = train_minibatch_hogwild(
         &cfg,

@@ -23,17 +23,18 @@
 //!
 //! As in the paper, the bulk factor `k` grows with the process count
 //! (more aggregate memory ⇒ more minibatches sampled per bulk call).
-//! Per-rank compute is measured with the single-thread DDP simulator
-//! (`train_minibatch_simulated`) so that worker timings are exact even on
-//! machines with fewer cores than simulated GPUs; communication comes
-//! from the NVLink-3 α–β ring model. Paper shapes to reproduce: ours is
+//! Per-rank compute is measured with the sequential DDP executor
+//! (`DdpConfig::executor = Executor::Sequential`: one model, ranks run in
+//! order) so that worker timings are exact even on machines with fewer
+//! cores than simulated GPUs; communication comes from the NVLink-3 α–β
+//! ring model. Paper shapes to reproduce: ours is
 //! ~1.3–2x faster per epoch than PyG-style across P; training time
 //! scales with P; bulk sampling scales superlinearly with P because k
 //! grows with P.
 
 use trkx_bench::{append_jsonl, arg_flag, arg_value, Table};
-use trkx_core::{prepare_graphs, train_minibatch_simulated_opts, GnnTrainConfig, SamplerKind};
-use trkx_ddp::{AllReduceStrategy, DdpConfig};
+use trkx_core::{prepare_graphs, train_minibatch_opts, BatchingMode, GnnTrainConfig, SamplerKind};
+use trkx_ddp::{AllReduceStrategy, DdpConfig, Executor};
 use trkx_detector::{DatasetConfig, EventGraph};
 use trkx_sampling::ShadowConfig;
 
@@ -120,19 +121,23 @@ fn run_dataset(
             } else {
                 SamplerKind::Baseline
             };
-            let r = train_minibatch_simulated_opts(
+            // Sequential ranks never prefetch for real: `Prefetch` only
+            // charges the epoch under the overlapped virtual clock.
+            let mode = if overlap {
+                BatchingMode::prefetch()
+            } else {
+                BatchingMode::Sync
+            };
+            let r = train_minibatch_opts(
                 &cfg,
                 sampler,
-                overlap,
-                DdpConfig {
-                    workers: p,
-                    strategy: arm.strategy,
-                    cost_model: trkx_ddp::CommCostModel::nvlink3(),
-                    comm_overlap,
-                },
+                mode,
+                DdpConfig::new(p, arm.strategy)
+                    .with_overlap(comm_overlap)
+                    .with_executor(Executor::Sequential),
                 train,
                 val,
-                Vec::new(),
+                None,
             );
             // Average over measured epochs.
             let n = r.epochs.len() as f64;

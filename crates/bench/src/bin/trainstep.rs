@@ -116,7 +116,9 @@ fn main() {
         "allocations_per_step": allocs_per_step,
         "alloc_bytes_per_step": bytes as f64 / steps as f64,
         "final_loss": loss,
-        "threads": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        // The kernel pool actually in use (`RAYON_NUM_THREADS` honoured),
+        // not the host's core count.
+        "threads": rayon::current_num_threads(),
     });
     std::fs::write(&out, format!("{report}\n")).expect("write bench report");
     println!(

@@ -4,16 +4,24 @@
 //! training with matrix-based bulk sampling plus coalesced all-reduce
 //! (the paper's contributions). Produces the per-epoch convergence curves
 //! of Figure 4 and the epoch-time breakdowns of Figure 3.
+//!
+//! All of these, plus Hogwild, are one training loop that differs only in
+//! where batches come from and how gradients are synchronised: a single
+//! rank-step driver run by the executor in [`DdpConfig::executor`].
 
 use crate::train::{
-    plan_chunks, with_batch_source, BatchSource, BatchingMode, EpochCtx, EpochStats,
-    FullGraphSource, HogwildShared, Hook, SampledBatch, SampledBatchSource, ShardChunks, TrainLoop,
-    TrainStep, ValMetrics,
+    plan_chunks, with_batch_source, BatchSource, BatchingMode, EpochCtx, EpochReport, EpochStats,
+    FullGraphSource, HogwildShared, Hook, SampledBatchSource, ShardChunks, TrainLoop, TrainStep,
+    ValMetrics,
 };
 use rand::{rngs::StdRng, SeedableRng};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use trkx_ddp::{run_workers, AllReducer, BucketScheduler, CommLink, DdpConfig, EpochTiming};
+use trkx_ddp::{
+    run_workers, AllReduceStrategy, AllReducer, BucketScheduler, CommLink, DdpConfig, EpochTiming,
+    Executor,
+};
 use trkx_detector::EventGraph;
 use trkx_ignn::{IgnnConfig, InteractionGnn};
 use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings, BucketLayout, Param, Sgd};
@@ -246,15 +254,10 @@ impl GnnTrainConfig {
     }
 }
 
-/// One epoch's record — legacy alias for the unified harness's
-/// [`EpochReport`](crate::train::EpochReport) (loss, validation metrics,
-/// step count, lr, timing).
-pub use crate::train::EpochReport as EpochRecord;
-
 /// Outcome of a training run.
 pub struct TrainResult {
     pub model: InteractionGnn,
-    pub epochs: Vec<EpochRecord>,
+    pub epochs: Vec<EpochReport>,
     /// Full-graph training only: events skipped by the activation-memory
     /// budget (the paper's skip-too-large-graphs behaviour).
     pub skipped_graphs: usize,
@@ -308,190 +311,295 @@ pub fn evaluate_with(
 /// Full-graph training (the original Exa.TrkX baseline): each training
 /// step feeds one entire event graph; graphs whose estimated activation
 /// footprint exceeds `activation_budget_floats` are skipped, shrinking
-/// the effective training set exactly as on a memory-limited GPU.
+/// the effective training set exactly as on a memory-limited GPU. Runs
+/// the rank-step driver at one rank over a [`FullGraphSource`].
 pub fn train_full_graph(
     cfg: &GnnTrainConfig,
     train: &[PreparedGraph],
     val: &[PreparedGraph],
     activation_budget_floats: Option<usize>,
 ) -> TrainResult {
-    train_full_graph_with_hooks(cfg, train, val, activation_budget_floats, Vec::new())
-}
-
-/// [`train_full_graph`] with a caller-supplied hook stack (telemetry,
-/// checkpointing, early stopping). Figure 4's convergence curves need
-/// every epoch, so the harness attaches no hooks by default — early
-/// stopping is strictly opt-in here.
-pub fn train_full_graph_with_hooks(
-    cfg: &GnnTrainConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    activation_budget_floats: Option<usize>,
-    hooks: Vec<Box<dyn Hook>>,
-) -> TrainResult {
-    train_full_graph_opts(
-        cfg,
-        train,
-        val,
-        activation_budget_floats,
-        BatchingMode::Sync,
-        hooks,
-    )
-}
-
-/// [`train_full_graph_with_hooks`] with an explicit [`BatchingMode`]:
-/// `Prefetch` materialises the next graph's matrices on a background
-/// thread while the current one trains. Batch order and loss curves are
-/// identical in both modes.
-pub fn train_full_graph_opts(
-    cfg: &GnnTrainConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    activation_budget_floats: Option<usize>,
-    mode: BatchingMode,
-    hooks: Vec<Box<dyn Hook>>,
-) -> TrainResult {
-    let (nf, ef) = (train[0].x.cols(), train[0].y.cols());
-    let icfg = cfg.ignn_config(nf, ef);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let model = InteractionGnn::new(icfg.clone(), &mut rng);
-    let pos_weight = cfg.derive_pos_weight(train);
-
-    let usable: Vec<&PreparedGraph> = train
-        .iter()
-        .filter(|g| {
+    let icfg = cfg.ignn_config(train[0].x.cols(), train[0].y.cols());
+    let usable: Vec<usize> = (0..train.len())
+        .filter(|&i| {
             activation_budget_floats
-                .map(|b| icfg.estimate_activation_floats(g.num_nodes, g.num_edges()) <= b)
+                .map(|b| {
+                    icfg.estimate_activation_floats(train[i].num_nodes, train[i].num_edges()) <= b
+                })
                 .unwrap_or(true)
         })
         .collect();
     let skipped_graphs = train.len() - usable.len();
-
-    let mut step = FullGraphStep {
-        model,
-        usable,
-        val,
-        pos_weight,
-        threshold: cfg.threshold,
-        mode,
-        val_tape: Tape::new(),
-        val_bind: Bindings::new(),
-    };
-    let epochs = TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs)
-        .with_hooks(hooks)
-        .run(&mut step);
+    let ddp = DdpConfig::single().with_executor(Executor::Sequential);
+    let batches = Batches::FullGraph(usable);
     TrainResult {
-        model: step.model,
-        epochs,
         skipped_graphs,
+        ..drive(
+            cfg,
+            batches,
+            BatchingMode::Sync,
+            ddp,
+            false,
+            train,
+            val,
+            None,
+        )
     }
 }
 
-/// Run one minibatch's forward/backward through the epoch context; shared
-/// by every GNN trainer (the batch is whatever its [`BatchSource`]
-/// produced — a sampled subgraph or a whole event graph).
-fn batch_forward_backward(
-    ctx: &mut EpochCtx,
-    model: &InteractionGnn,
-    batch: &SampledBatch,
-    pos_weight: f32,
-) -> f32 {
-    ctx.forward_backward(|tape, bind| {
-        if batch.labels.is_empty() {
-            return None;
+/// Per-rank hook factory: called once per rank (on that rank's thread
+/// under [`Executor::Threads`], once for rank 0 under
+/// [`Executor::Sequential`]) to build its hook stack. Hooks must be
+/// deterministic functions of the reports they observe — every rank sees
+/// identical metrics (replicas stay synchronised), so identical hook
+/// stacks make identical stop/LR decisions and the collectives stay
+/// aligned.
+pub type HookFactory = dyn Fn(usize) -> Vec<Box<dyn Hook>> + Sync;
+
+/// Minibatch ShaDow training with distributed data parallelism.
+///
+/// `sampler` picks the Fig. 3 comparison arm: `Baseline` is the
+/// sequential per-batch ShaDow (PyG-style), `Bulk { k }` samples `k`
+/// minibatches per bulk call with matrix-based sampling. The DDP
+/// strategy (per-tensor vs coalesced all-reduce) and the executor
+/// (threaded replicas or the sequential single-model run) come from
+/// `ddp`.
+pub fn train_minibatch(
+    cfg: &GnnTrainConfig,
+    sampler: SamplerKind,
+    ddp: DdpConfig,
+    train: &[PreparedGraph],
+    val: &[PreparedGraph],
+) -> TrainResult {
+    train_minibatch_opts(cfg, sampler, BatchingMode::Sync, ddp, train, val, None)
+}
+
+/// [`train_minibatch`] with an explicit [`BatchingMode`] and a per-rank
+/// hook factory.
+///
+/// Under [`Executor::Threads`], `Prefetch` gives every rank its own
+/// background sampling thread feeding a bounded queue, so step *t+1*'s
+/// sampling overlaps step *t*'s forward/backward. The sampler seeds are
+/// pure functions of the schedule, so prefetching reproduces sync-mode
+/// loss curves bit for bit. Under [`Executor::Sequential`] nothing runs
+/// concurrently: `Prefetch` only marks each epoch's [`EpochTiming`] as
+/// overlapped, so `total_s` charges `max(sampling, train)` the way a
+/// real prefetching loader would.
+///
+/// When hooks are attached, *every* threaded rank runs the validation
+/// pass (not just rank 0) so metric-driven hooks make the same decision
+/// on every replica.
+pub fn train_minibatch_opts(
+    cfg: &GnnTrainConfig,
+    sampler: SamplerKind,
+    mode: BatchingMode,
+    ddp: DdpConfig,
+    train: &[PreparedGraph],
+    val: &[PreparedGraph],
+    hook_factory: Option<&HookFactory>,
+) -> TrainResult {
+    let batches = Batches::sampled(sampler, cfg.shadow);
+    drive(cfg, batches, mode, ddp, false, train, val, hook_factory)
+}
+
+/// Lock-free asynchronous minibatch training (Hogwild!): `workers`
+/// threads train replicas against one [`HogwildShared`] parameter store
+/// with **no** replica lockstep — each step pulls the current shared
+/// weights, runs its own forward/backward, and writes a racy SGD update
+/// straight back. No collectives, no barriers, zero communication cost;
+/// the price is gradient staleness and occasional lost updates, so
+/// convergence is noisier than synchronous DDP (the EXPERIMENTS.md §fig4
+/// study quantifies the trade).
+///
+/// Same driver as [`train_minibatch`]: identical schedule construction
+/// and sharding, so mode comparisons hold the per-worker workload fixed.
+pub fn train_minibatch_hogwild(
+    cfg: &GnnTrainConfig,
+    sampler: SamplerKind,
+    workers: usize,
+    train: &[PreparedGraph],
+    val: &[PreparedGraph],
+) -> TrainResult {
+    let batches = Batches::sampled(sampler, cfg.shadow);
+    let ddp = DdpConfig::new(workers.max(1), AllReduceStrategy::Coalesced);
+    drive(
+        cfg,
+        batches,
+        BatchingMode::Sync,
+        ddp,
+        true,
+        train,
+        val,
+        None,
+    )
+}
+
+/// Where a rank's batches come from.
+enum Batches {
+    /// ShaDow minibatches: the epoch's schedule → [`plan_chunks`] → the
+    /// rank's [`ShardChunks`] → a [`SampledBatchSource`]. One sampler
+    /// serves every rank (and every prefetch thread): `Sampler` is `Sync`
+    /// and holds no mutable state.
+    Sampled {
+        sampler: Box<dyn Sampler>,
+        chunk_size: usize,
+    },
+    /// One whole event graph per step: the indices of the training
+    /// graphs that fit the activation budget.
+    FullGraph(Vec<usize>),
+}
+
+impl Batches {
+    fn sampled(kind: SamplerKind, shadow: ShadowConfig) -> Self {
+        Batches::Sampled {
+            sampler: kind.build(shadow),
+            chunk_size: kind.chunk_size(),
         }
-        let logits = model.forward_planned(tape, bind, &batch.x, &batch.y, &batch.plans);
-        Some(bce_with_logits(tape, logits, &batch.labels, pos_weight))
-    })
+    }
 }
 
-/// Forward half only (for the comm-overlapped step shape, where backward
-/// runs separately through [`EpochCtx::backward_comm`] once the model
-/// borrow is released and its `&mut Param` list can be collected).
-fn batch_forward(
-    ctx: &mut EpochCtx,
-    model: &InteractionGnn,
-    batch: &SampledBatch,
-    pos_weight: f32,
-) -> Option<trkx_tensor::Var> {
-    ctx.forward_only(|tape, bind| {
-        if batch.labels.is_empty() {
-            return None;
-        }
-        let logits = model.forward_planned(tape, bind, &batch.x, &batch.y, &batch.plans);
-        Some(bce_with_logits(tape, logits, &batch.labels, pos_weight))
-    })
+/// How a step turns the ranks' gradients into a parameter update.
+#[derive(Clone, Copy)]
+enum Update<'a> {
+    /// Threaded DDP: the rank all-reduces its gradients with its peers,
+    /// after backward or bucket by bucket during it.
+    AllReduce(&'a AllReducer),
+    /// Sequential DDP: every rank's gradients accumulate into the one
+    /// model, are averaged, and the α–β model charges the collective.
+    Accumulate,
+    /// Hogwild!: pull the shared weights before forward, push a racy
+    /// SGD update after backward.
+    Hogwild(&'a HogwildShared),
 }
 
-/// One scheduler per replica, bucketed to the strategy's budget: layout
-/// and canonical fire order are pure functions of the (identical)
-/// parameter sizes, so every rank issues the same collective sequence.
-fn build_scheduler(model: &InteractionGnn, ddp: &DdpConfig) -> BucketScheduler {
-    let sizes: Vec<usize> = model.params().iter().map(|prm| prm.numel()).collect();
-    BucketScheduler::new(BucketLayout::from_sizes(
-        &sizes,
-        ddp.strategy.bucket_bytes(),
-    ))
-}
-
-/// The full-graph schedule: one optimizer step per (budget-surviving)
-/// event graph, pulled from a [`FullGraphSource`].
-struct FullGraphStep<'a> {
-    model: InteractionGnn,
-    usable: Vec<&'a PreparedGraph>,
+/// The rank-independent part of a training run.
+struct RunSpec<'a> {
+    cfg: &'a GnnTrainConfig,
+    batches: Batches,
+    mode: BatchingMode,
+    ddp: DdpConfig,
+    train: &'a [PreparedGraph],
     val: &'a [PreparedGraph],
     pos_weight: f32,
-    threshold: f32,
-    mode: BatchingMode,
-    val_tape: Tape,
-    val_bind: Bindings,
+    /// Gradient bytes per parameter tensor (the α–β charge's input).
+    tensor_bytes: Vec<usize>,
 }
 
-impl TrainStep for FullGraphStep<'_> {
-    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
-        let items: Vec<(usize, &PreparedGraph)> = self.usable.iter().copied().enumerate().collect();
-        let source = FullGraphSource::new(items);
-        let mut train_s = 0.0f64;
-        let mut loss_sum = 0.0f32;
-        let sampling_s = with_batch_source(self.mode, source, |src| {
-            while let Some(batch) = src.next_batch() {
-                let t = Instant::now();
-                loss_sum += batch_forward_backward(ctx, &self.model, &batch, self.pos_weight);
-                ctx.update(&mut self.model.params_mut());
-                train_s += t.elapsed().as_secs_f64();
+impl RunSpec<'_> {
+    /// One batch stream per rank in `ranks` for `epoch`.
+    fn sources(&self, epoch: usize, ranks: Range<usize>) -> Vec<Box<dyn BatchSource + Send + '_>> {
+        let train = self.train;
+        match &self.batches {
+            Batches::Sampled {
+                sampler,
+                chunk_size,
+            } => {
+                let (seed, p) = (self.cfg.seed, self.ddp.workers);
+                let schedule = build_schedule(train, self.cfg.batch_size, seed, epoch);
+                let chunks = plan_chunks(&schedule, *chunk_size, seed, epoch);
+                ranks
+                    .map(|rank| {
+                        let sharded = ShardChunks::new(chunks.clone().into_iter(), rank, p);
+                        Box::new(SampledBatchSource::new(train, &**sampler, sharded)) as Box<_>
+                    })
+                    .collect()
             }
-            src.sample_busy_s()
-        });
-        EpochStats {
-            loss_sum,
-            loss_denom: self.usable.len(),
-            steps: ctx.steps(),
-            timing: EpochTiming {
-                sampling_s,
-                train_s,
-                overlapped: self.mode.is_prefetch(),
-                ..Default::default()
-            },
-            cache: None,
+            Batches::FullGraph(usable) => {
+                debug_assert_eq!(ranks.len(), 1, "full-graph training runs one rank");
+                let items = usable.iter().map(|&i| (i, &train[i])).collect();
+                vec![Box::new(FullGraphSource::new(items))]
+            }
         }
     }
+}
 
-    fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
-        let stats = evaluate_with(
-            &mut self.val_tape,
-            &mut self.val_bind,
-            &self.model,
-            self.val,
-            self.threshold,
-        );
-        Some(ValMetrics {
-            precision: stats.precision(),
-            recall: stats.recall(),
-        })
+/// Initialise the model and run the rank-step driver on `ddp.executor`.
+/// `Threads` runs one [`RankStep`] per rank on [`run_workers`] and
+/// assembles rank 0's model and reports, with timings maxed across ranks
+/// (synchronous DDP advances at the slowest worker's pace). `Sequential`
+/// runs a single `RankStep` driving every rank in order.
+#[allow(clippy::too_many_arguments)]
+fn drive(
+    cfg: &GnnTrainConfig,
+    batches: Batches,
+    mode: BatchingMode,
+    ddp: DdpConfig,
+    hogwild: bool,
+    train: &[PreparedGraph],
+    val: &[PreparedGraph],
+    hook_factory: Option<&HookFactory>,
+) -> TrainResult {
+    let icfg = cfg.ignn_config(train[0].x.cols(), train[0].y.cols());
+    let mut model = InteractionGnn::new(icfg, &mut StdRng::seed_from_u64(cfg.seed));
+    let spec = RunSpec {
+        cfg,
+        batches,
+        mode,
+        ddp,
+        train,
+        val,
+        pos_weight: cfg.derive_pos_weight(train),
+        tensor_bytes: model.params().iter().map(|prm| prm.numel() * 4).collect(),
+    };
+    let p = ddp.workers;
+    let shared = hogwild.then(|| HogwildShared::new(&model.params()));
+    let reducer = AllReducer::new(p, ddp.cost_model);
+    let run_ranks = |model: InteractionGnn, ranks: Range<usize>| {
+        let update = match (&shared, ddp.executor) {
+            (Some(shared), _) => Update::Hogwild(shared),
+            (None, Executor::Threads) => Update::AllReduce(&reducer),
+            (None, Executor::Sequential) => Update::Accumulate,
+        };
+        let hooks = hook_factory.map_or_else(Vec::new, |f| f(ranks.start));
+        let mut step = RankStep {
+            spec: &spec,
+            update,
+            sched: ddp.comm_overlap.then(|| build_scheduler(&model, &ddp)),
+            run_validation: ranks.start == 0 || hook_factory.is_some(),
+            ranks,
+            model,
+            comm_seen: 0.0,
+            val_tape: Tape::new(),
+            val_bind: Bindings::new(),
+        };
+        // Plain SGD matches Hogwild's racy shared update rule; the local
+        // optimizer step is overwritten by the next pull anyway.
+        let train_loop = if hogwild {
+            TrainLoop::new(Sgd::new(cfg.learning_rate), cfg.epochs)
+        } else {
+            TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs)
+        };
+        let reports = train_loop.with_hooks(hooks).run(&mut step);
+        (step.model, reports)
+    };
+    let epochs = match ddp.executor {
+        Executor::Sequential => {
+            let (trained, reports) = run_ranks(model, 0..p);
+            model = trained;
+            reports
+        }
+        Executor::Threads => {
+            let mut results = run_workers(p, |rank| run_ranks(model.clone(), rank..rank + 1));
+            let (trained, mut epochs) = results.remove(0);
+            for (_, reports) in &results {
+                // Deterministic hooks stop every rank at the same epoch,
+                // so each rank reports the same number of epochs.
+                for (report, other) in epochs.iter_mut().zip(reports) {
+                    report.timing.max_merge(&other.timing);
+                }
+            }
+            model = trained;
+            epochs
+        }
+    };
+    // Hogwild's trained model is whatever the shared store converged to.
+    if let Some(shared) = &shared {
+        shared.pull(&mut model.params_mut());
     }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.model.params_mut()
+    TrainResult {
+        model,
+        epochs,
+        skipped_graphs: 0,
     }
 }
 
@@ -514,156 +622,33 @@ fn build_schedule(
     schedule
 }
 
-/// Per-rank hook factory for the threaded DDP trainer: called once per
-/// rank, on that rank's thread, to build its hook stack. Hooks must be
-/// deterministic functions of the reports they observe — every rank sees
-/// identical metrics (replicas stay synchronised), so identical hook
-/// stacks make identical stop/LR decisions and the collectives stay
-/// aligned.
-pub type HookFactory = dyn Fn(usize) -> Vec<Box<dyn Hook>> + Sync;
-
-/// Minibatch ShaDow training with distributed data parallelism.
-///
-/// `sampler` picks the Fig. 3 comparison arm: `Baseline` is the
-/// sequential per-batch ShaDow (PyG-style), `Bulk { k }` samples `k`
-/// minibatches per bulk call with matrix-based sampling. The DDP
-/// strategy (per-tensor vs coalesced all-reduce) comes from `ddp`.
-pub fn train_minibatch(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-) -> TrainResult {
-    train_minibatch_with_hooks(cfg, sampler, ddp, train, val, None)
+/// One scheduler per replica, bucketed to the strategy's budget: layout
+/// and canonical fire order are pure functions of the (identical)
+/// parameter sizes, so every rank issues the same collective sequence.
+fn build_scheduler(model: &InteractionGnn, ddp: &DdpConfig) -> BucketScheduler {
+    let sizes: Vec<usize> = model.params().iter().map(|prm| prm.numel()).collect();
+    BucketScheduler::new(BucketLayout::from_sizes(
+        &sizes,
+        ddp.strategy.bucket_bytes(),
+    ))
 }
 
-/// [`train_minibatch`] with a per-rank hook factory. When hooks are
-/// attached, *every* rank runs the validation pass (not just rank 0) so
-/// metric-driven hooks make the same decision on every replica.
-pub fn train_minibatch_with_hooks(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    hook_factory: Option<&HookFactory>,
-) -> TrainResult {
-    train_minibatch_opts(
-        cfg,
-        sampler,
-        BatchingMode::Sync,
-        ddp,
-        train,
-        val,
-        hook_factory,
-    )
-}
-
-/// [`train_minibatch_with_hooks`] with an explicit [`BatchingMode`].
-/// Under `Prefetch`, every rank runs its own background sampling thread
-/// feeding a bounded queue, so step *t+1*'s sampling overlaps step *t*'s
-/// forward/backward. The sampler seeds are pure functions of the
-/// schedule, so prefetching reproduces sync-mode loss curves bit for bit.
-pub fn train_minibatch_opts(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    mode: BatchingMode,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    hook_factory: Option<&HookFactory>,
-) -> TrainResult {
-    let (nf, ef) = (train[0].x.cols(), train[0].y.cols());
-    let icfg = cfg.ignn_config(nf, ef);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let init_model = InteractionGnn::new(icfg, &mut rng);
-    let pos_weight = cfg.derive_pos_weight(train);
-    let p = ddp.workers;
-    let validate_all = hook_factory.is_some();
-
-    // Schedules are precomputed per epoch so every worker sees the same
-    // global batch sequence (synchronous DDP).
-    let schedules: Vec<Vec<(usize, Vec<u32>)>> = (0..cfg.epochs)
-        .map(|e| build_schedule(train, cfg.batch_size, cfg.seed, e))
-        .collect();
-
-    // One sampler instance serves every rank (and every rank's prefetch
-    // thread): `Sampler` is `Sync` and holds no mutable state.
-    let sampler_impl = sampler.build(cfg.shadow);
-    let chunk_size = sampler.chunk_size();
-
-    let reducer = AllReducer::new(p, ddp.cost_model);
-    let results = run_workers(p, |rank| {
-        let mut step = MinibatchRankStep {
-            rank,
-            p,
-            model: init_model.clone(),
-            cfg,
-            sampler: &*sampler_impl,
-            chunk_size,
-            mode,
-            strategy: ddp.strategy,
-            sched: ddp.comm_overlap.then(|| build_scheduler(&init_model, &ddp)),
-            reducer: &reducer,
-            schedules: &schedules,
-            train,
-            val,
-            pos_weight,
-            comm_seen: 0.0,
-            run_validation: rank == 0 || validate_all,
-            val_tape: Tape::new(),
-            val_bind: Bindings::new(),
-        };
-        let hooks = hook_factory.map_or_else(Vec::new, |f| f(rank));
-        let reports = TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs)
-            .with_hooks(hooks)
-            .run(&mut step);
-        (step.model, reports)
-    });
-
-    // Assemble: rank-0 model + metrics; timings are the max across ranks
-    // (synchronous DDP advances at the slowest worker's pace).
-    let mut results = results;
-    let (model, rank0_reports) = results.remove(0);
-    let mut epochs = Vec::with_capacity(rank0_reports.len());
-    for (e, mut report) in rank0_reports.into_iter().enumerate() {
-        for (_, reports) in &results {
-            // Deterministic hooks stop every rank at the same epoch, so
-            // each rank reports the same number of epochs.
-            report.timing.max_merge(&reports[e].timing);
-        }
-        epochs.push(report);
-    }
-    TrainResult {
-        model,
-        epochs,
-        skipped_graphs: 0,
-    }
-}
-
-/// One DDP rank's schedule: its shard of every global batch, pulled from
-/// a [`BatchSource`] ([`ShardChunks`] slices the global chunk plan for
-/// this rank), with the gradient collective folded into each step's
-/// `sync`.
-struct MinibatchRankStep<'a> {
-    rank: usize,
-    p: usize,
+/// The one GNN training step. Every optimizer step, each rank in `ranks`
+/// pulls its next batch from its own source and runs forward/backward
+/// once; the last rank then applies the [`Update`] rule. Under
+/// `Threads` each rank thread owns a `RankStep` driving just itself;
+/// under `Sequential` one `RankStep` drives all ranks in order.
+struct RankStep<'a> {
+    spec: &'a RunSpec<'a>,
+    update: Update<'a>,
+    ranks: Range<usize>,
     model: InteractionGnn,
-    cfg: &'a GnnTrainConfig,
-    sampler: &'a dyn Sampler,
-    chunk_size: usize,
-    mode: BatchingMode,
-    strategy: trkx_ddp::AllReduceStrategy,
-    /// `Some` when gradient communication overlaps backward: buckets fire
-    /// through the engine's grad-ready bridge instead of one post-backward
-    /// `sync_gradients` call. Gradients are bit-identical either way.
+    /// `Some` when gradient communication overlaps backward: the last
+    /// rank's backward fires bucket collectives through the engine's
+    /// grad-ready bridge — real ones over [`CommLink::Reduce`] under
+    /// `AllReduce`, account-only ones over [`CommLink::Model`] under
+    /// `Accumulate`. Gradients are bit-identical either way.
     sched: Option<BucketScheduler>,
-    reducer: &'a AllReducer,
-    schedules: &'a [Vec<(usize, Vec<u32>)>],
-    train: &'a [PreparedGraph],
-    val: &'a [PreparedGraph],
-    pos_weight: f32,
     /// Reducer-reported virtual comm seconds already attributed to past
     /// epochs (the reducer's counter is cumulative and shared).
     comm_seen: f64,
@@ -672,483 +657,169 @@ struct MinibatchRankStep<'a> {
     val_bind: Bindings,
 }
 
-impl TrainStep for MinibatchRankStep<'_> {
-    fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
-        let rank = self.rank;
-        // This rank's batch stream: the global chunk plan, sharded.
-        let chunks = plan_chunks(
-            &self.schedules[epoch],
-            self.chunk_size,
-            self.cfg.seed,
-            epoch,
-        );
-        let sharded = ShardChunks::new(chunks.into_iter(), rank, self.p);
-        let source = SampledBatchSource::new(self.train, self.sampler, sharded);
+/// What one epoch of steps measured.
+struct EpochRun {
+    loss_sum: f32,
+    sampling_s: f64,
+    train_s: f64,
+    /// α–β charge of the post-hoc `Accumulate` collectives.
+    comm_s: f64,
+}
 
-        let mut train_s = 0.0f64;
-        let mut loss_sum = 0.0f32;
-        let sampling_s = with_batch_source(self.mode, source, |src| {
-            while let Some(batch) = src.next_batch() {
+impl RankStep<'_> {
+    /// Run the epoch's steps in lockstep over `sources` (one per rank).
+    fn run_steps(&mut self, ctx: &mut EpochCtx, sources: &mut [&mut dyn BatchSource]) -> EpochRun {
+        let spec = self.spec;
+        let (p, strategy, lr) = (spec.ddp.workers, spec.ddp.strategy, spec.cfg.learning_rate);
+        let last = sources.len() - 1;
+        let mut train_rank = vec![0.0f64; sources.len()];
+        let (mut loss_sum, mut comm_s) = (0.0f32, 0.0f64);
+        'steps: loop {
+            for (i, src) in sources.iter_mut().enumerate() {
+                let Some(batch) = src.next_batch() else {
+                    // Rank streams are equal length by construction (one
+                    // batch per schedule entry, empty shards included).
+                    debug_assert_eq!(i, 0, "rank batch streams differ in length");
+                    break 'steps;
+                };
+                let rank = self.ranks.start + i;
                 let t = Instant::now();
-                if let Some(sched) = self.sched.as_mut() {
-                    // Overlapped path: buckets all-reduce mid-backward as
-                    // their last parameter's gradient finalizes; empty
-                    // shards still flush every bucket at finish, so all
-                    // ranks issue the same collective sequence.
-                    let loss = batch_forward(ctx, &self.model, &batch, self.pos_weight);
-                    let link = CommLink::Reduce {
-                        reducer: self.reducer,
-                        rank,
-                    };
-                    let mut params = self.model.params_mut();
-                    loss_sum += ctx.backward_comm(loss, &mut params, sched, &link);
-                    ctx.apply_with(&mut params, |_| {});
-                } else {
-                    loss_sum += batch_forward_backward(ctx, &self.model, &batch, self.pos_weight);
-                    // The collective runs unconditionally inside the step
-                    // so every rank makes the same number of calls even
-                    // when its shard sampled no edges.
-                    let (reducer, strategy) = (self.reducer, self.strategy);
-                    ctx.update_with(&mut self.model.params_mut(), |params| {
-                        reducer.sync_gradients(rank, params, strategy);
+                if let Update::Hogwild(shared) = self.update {
+                    shared.pull(&mut self.model.params_mut());
+                }
+                let model = &self.model;
+                let forward = |tape: &mut Tape, bind: &mut Bindings| {
+                    if batch.labels.is_empty() {
+                        return None;
+                    }
+                    let logits =
+                        model.forward_planned(tape, bind, &batch.x, &batch.y, &batch.plans);
+                    Some(bce_with_logits(
+                        tape,
+                        logits,
+                        &batch.labels,
+                        spec.pos_weight,
+                    ))
+                };
+                let (loss, mut params) = match self.sched.as_mut().filter(|_| i == last) {
+                    Some(sched) => {
+                        // Buckets all-reduce mid-backward as their last
+                        // parameter's gradient finalizes; empty shards
+                        // still flush every bucket at finish, so all ranks
+                        // issue the same collective sequence.
+                        let loss = ctx.forward_only(forward);
+                        let link = match self.update {
+                            Update::AllReduce(reducer) => CommLink::Reduce { reducer, rank },
+                            _ => CommLink::Model {
+                                cost: spec.ddp.cost_model,
+                                workers: p,
+                            },
+                        };
+                        let mut params = self.model.params_mut();
+                        (ctx.backward_comm(loss, &mut params, sched, &link), params)
+                    }
+                    None => {
+                        let loss = ctx.forward_backward(forward);
+                        let mut params = self.model.params_mut();
+                        ctx.harvest(&mut params);
+                        (loss, params)
+                    }
+                };
+                if i == 0 {
+                    loss_sum += loss;
+                }
+                if i == last {
+                    // The sync runs unconditionally inside the step so
+                    // every rank makes the same number of collective calls
+                    // even when its shard sampled no edges.
+                    let overlapped = self.sched.is_some();
+                    ctx.apply_with(&mut params, |params| match self.update {
+                        Update::AllReduce(reducer) if !overlapped => {
+                            reducer.sync_gradients(rank, params, strategy)
+                        }
+                        Update::AllReduce(_) => {}
+                        Update::Accumulate if p > 1 => {
+                            let inv = 1.0 / p as f32;
+                            for prm in params.iter_mut() {
+                                prm.grad.apply(|v| v * inv);
+                            }
+                            if !overlapped {
+                                comm_s += spec.ddp.cost_model.bucketed_time(
+                                    &spec.tensor_bytes,
+                                    strategy.bucket_bytes(),
+                                    p,
+                                );
+                            }
+                        }
+                        Update::Accumulate => {}
+                        Update::Hogwild(shared) => shared.apply_grads(lr, params),
                     });
                 }
-                train_s += t.elapsed().as_secs_f64();
+                train_rank[i] += t.elapsed().as_secs_f64();
             }
-            src.sample_busy_s()
-        });
-
-        // Per-epoch virtual comm delta (identical on every rank; rank 0's
-        // value is used).
-        let comm_total = self.reducer.virtual_comm_seconds();
-        let comm_epoch = comm_total - self.comm_seen;
-        self.comm_seen = comm_total;
-        // Exposed comm is per-rank (it depends on this rank's own compute
-        // gaps); `max_merge` across ranks keeps the slowest.
-        let comm_exposed = match self.sched.as_mut() {
-            Some(sched) => sched.take_stats().exposed_comm_s,
-            None => comm_epoch,
-        };
-
-        EpochStats {
+        }
+        EpochRun {
             loss_sum,
-            loss_denom: ctx.steps(),
-            steps: ctx.steps(),
-            timing: EpochTiming {
-                sampling_s,
-                train_s,
-                comm_virtual_s: comm_epoch,
-                comm_exposed_s: comm_exposed,
-                overlapped: self.mode.is_prefetch(),
-                comm_overlap: self.sched.is_some(),
-            },
-            cache: shard_cache_stats(self.train),
+            sampling_s: sources
+                .iter()
+                .map(|s| s.sample_busy_s())
+                .fold(0.0, f64::max),
+            train_s: train_rank.iter().copied().fold(0.0, f64::max),
+            comm_s,
         }
     }
-
-    fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
-        if !self.run_validation {
-            return None;
-        }
-        let stats = evaluate_with(
-            &mut self.val_tape,
-            &mut self.val_bind,
-            &self.model,
-            self.val,
-            self.cfg.threshold,
-        );
-        Some(ValMetrics {
-            precision: stats.precision(),
-            recall: stats.recall(),
-        })
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.model.params_mut()
-    }
 }
 
-/// Single-threaded *simulation* of the same synchronous DDP run as
-/// [`train_minibatch`]: ranks execute sequentially, so wall-clock
-/// measurements attribute each rank's sampling and compute time exactly
-/// (on machines with fewer cores than simulated GPUs, threads timeshare
-/// and wall time stops meaning per-worker time). The math is identical —
-/// identical replicas, averaged gradients, same per-rank sampler seeds —
-/// and the epoch time reported is `max over ranks of per-rank compute`
-/// plus the α–β model's all-reduce time, which is what a real P-GPU
-/// synchronous system observes. The Figure 3 harness uses this trainer.
-pub fn train_minibatch_simulated(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-) -> TrainResult {
-    train_minibatch_simulated_with_hooks(cfg, sampler, ddp, train, val, Vec::new())
-}
-
-/// [`train_minibatch_simulated`] with a caller-supplied hook stack. The
-/// simulator is single-threaded, so one hook stack observes the whole
-/// (virtual) cluster.
-pub fn train_minibatch_simulated_with_hooks(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    hooks: Vec<Box<dyn Hook>>,
-) -> TrainResult {
-    train_minibatch_simulated_opts(cfg, sampler, false, ddp, train, val, hooks)
-}
-
-/// [`train_minibatch_simulated_with_hooks`] with overlap control. The
-/// simulator is single-threaded, so it cannot *run* sampling concurrently
-/// with compute — instead `overlap = true` flips the virtual-clock
-/// accounting: the epoch's [`EpochTiming`] is marked overlapped, so
-/// `total_s` charges `max(sampling, train)` the way a real prefetching
-/// loader would ([`VirtualClock::advance_overlapped`]). The math — losses,
-/// gradients, updates — is identical either way.
-///
-/// [`VirtualClock::advance_overlapped`]: trkx_ddp::VirtualClock::advance_overlapped
-pub fn train_minibatch_simulated_opts(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    overlap: bool,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    hooks: Vec<Box<dyn Hook>>,
-) -> TrainResult {
-    let (nf, ef) = (train[0].x.cols(), train[0].y.cols());
-    let icfg = cfg.ignn_config(nf, ef);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    // Replicas stay identical under synchronous DDP, so one model
-    // suffices: per-rank backward passes accumulate into its grads and
-    // the average is the same update every replica would apply.
-    let model = InteractionGnn::new(icfg, &mut rng);
-    let pos_weight = cfg.derive_pos_weight(train);
-    let tensor_bytes: Vec<usize> = model.params().iter().map(|prm| prm.numel() * 4).collect();
-    let sampler_impl = sampler.build(cfg.shadow);
-
-    let sched = ddp.comm_overlap.then(|| build_scheduler(&model, &ddp));
-    let mut step = SimulatedDdpStep {
-        model,
-        cfg,
-        sampler: &*sampler_impl,
-        chunk_size: sampler.chunk_size(),
-        overlap,
-        ddp,
-        sched,
-        tensor_bytes,
-        train,
-        val,
-        pos_weight,
-        val_tape: Tape::new(),
-        val_bind: Bindings::new(),
-    };
-    let epochs = TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs)
-        .with_hooks(hooks)
-        .run(&mut step);
-    TrainResult {
-        model: step.model,
-        epochs,
-        skipped_graphs: 0,
-    }
-}
-
-/// The single-threaded DDP simulation schedule: per optimizer step, every
-/// rank's forward/backward accumulates into one model's gradients
-/// (gradient accumulation), then one averaged update plus the α–β-model
-/// collective charge.
-struct SimulatedDdpStep<'a> {
-    model: InteractionGnn,
-    cfg: &'a GnnTrainConfig,
-    sampler: &'a dyn Sampler,
-    chunk_size: usize,
-    /// Account sampling as overlapped with compute (`max` instead of sum
-    /// in the virtual clock); the math is unchanged.
-    overlap: bool,
-    ddp: DdpConfig,
-    /// `Some` when `ddp.comm_overlap`: the last simulated rank's backward
-    /// drives the bucket scheduler through an account-only
-    /// [`CommLink::Model`], yielding the serial-vs-exposed comm split.
-    sched: Option<BucketScheduler>,
-    tensor_bytes: Vec<usize>,
-    train: &'a [PreparedGraph],
-    val: &'a [PreparedGraph],
-    pos_weight: f32,
-    val_tape: Tape,
-    val_bind: Bindings,
-}
-
-impl TrainStep for SimulatedDdpStep<'_> {
+impl TrainStep for RankStep<'_> {
     fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
-        let cfg = self.cfg;
-        let p = self.ddp.workers;
-        let schedule = build_schedule(self.train, cfg.batch_size, cfg.seed, epoch);
-        let chunks = plan_chunks(&schedule, self.chunk_size, cfg.seed, epoch);
-        // One batch stream per simulated rank: the same global chunk plan,
-        // sharded. The streams are equal-length by construction (one batch
-        // per schedule entry, empty shards included), so ranks can pull in
-        // lockstep — one batch each per optimizer step.
-        let mut sources: Vec<_> = (0..p)
-            .map(|rank| {
-                SampledBatchSource::new(
-                    self.train,
-                    self.sampler,
-                    ShardChunks::new(chunks.clone().into_iter(), rank, p),
+        let spec = self.spec;
+        let mut sources = spec.sources(epoch, self.ranks.clone());
+        // A threaded rank may prefetch on a background thread; the
+        // sequential executor samples inline so per-rank times stay exact.
+        let run = match (spec.ddp.executor, spec.mode) {
+            (Executor::Threads, mode @ BatchingMode::Prefetch { .. }) => {
+                let source = sources.pop().expect("a threaded rank drives one source");
+                with_batch_source(mode, source, |src| self.run_steps(ctx, &mut [src]))
+            }
+            _ => {
+                let mut srcs: Vec<&mut dyn BatchSource> =
+                    sources.iter_mut().map(|s| &mut **s as _).collect();
+                self.run_steps(ctx, &mut srcs)
+            }
+        };
+        // Exposed comm is per-rank (it depends on this rank's own compute
+        // gaps); `max_merge` across threaded ranks keeps the slowest.
+        let (comm_virtual_s, comm_exposed_s) = match (self.update, self.sched.as_mut()) {
+            (Update::AllReduce(reducer), sched) => {
+                let total = reducer.virtual_comm_seconds();
+                let epoch_s = total - self.comm_seen;
+                self.comm_seen = total;
+                (
+                    epoch_s,
+                    sched.map_or(epoch_s, |s| s.take_stats().exposed_comm_s),
                 )
-            })
-            .collect();
-
-        let mut train_rank = vec![0.0f64; p];
-        let mut comm_s = 0.0f64;
-        let mut loss_sum = 0.0f32;
-
-        loop {
-            let step_batches: Vec<Option<SampledBatch>> =
-                sources.iter_mut().map(|s| s.next_batch()).collect();
-            if step_batches[0].is_none() {
-                debug_assert!(step_batches.iter().all(|b| b.is_none()));
-                break;
             }
-            // All ranks backward (accumulating), then average, one update.
-            for (rank, batch) in step_batches.iter().enumerate() {
-                let batch = batch.as_ref().expect("rank batch streams are equal length");
-                let t = Instant::now();
-                let sched = if rank + 1 == p {
-                    self.sched.as_mut()
-                } else {
-                    None
-                };
-                if let Some(sched) = sched {
-                    // Last rank's backward drives the bucket scheduler
-                    // (account-only link): the bridge accumulates its
-                    // gradients exactly as `harvest` would, while the α–β
-                    // model splits comm into serial vs exposed against
-                    // this rank's real backward compute gaps.
-                    let loss = batch_forward(ctx, &self.model, batch, self.pos_weight);
-                    let link = CommLink::Model {
-                        cost: self.ddp.cost_model,
-                        workers: p,
-                    };
-                    let mut params = self.model.params_mut();
-                    let loss = ctx.backward_comm(loss, &mut params, sched, &link);
-                    if rank == 0 {
-                        loss_sum += loss;
-                    }
-                } else {
-                    let loss = batch_forward_backward(ctx, &self.model, batch, self.pos_weight);
-                    if rank == 0 {
-                        loss_sum += loss;
-                    }
-                    ctx.harvest(&mut self.model.params_mut());
-                }
-                train_rank[rank] += t.elapsed().as_secs_f64();
-            }
-            // Average accumulated gradients; charge the collective unless
-            // the scheduler already accounted it bucket by bucket.
-            let inv = 1.0 / p as f32;
-            let (ddp, tensor_bytes) = (self.ddp, &self.tensor_bytes);
-            let comm_overlap = self.sched.is_some();
-            ctx.apply_with(&mut self.model.params_mut(), |params| {
-                for prm in params.iter_mut() {
-                    prm.grad.apply(|v| v * inv);
-                }
-                if p > 1 && !comm_overlap {
-                    comm_s += match ddp.strategy {
-                        trkx_ddp::AllReduceStrategy::PerTensor => {
-                            ddp.cost_model.per_tensor_time(tensor_bytes, p)
-                        }
-                        trkx_ddp::AllReduceStrategy::Coalesced => {
-                            ddp.cost_model.coalesced_time(tensor_bytes, p)
-                        }
-                        trkx_ddp::AllReduceStrategy::Bucketed { bucket_bytes } => {
-                            ddp.cost_model.bucketed_time(tensor_bytes, bucket_bytes, p)
-                        }
-                    };
-                }
-            });
-        }
-
-        // With the scheduler active, both comm accounts come from it (its
-        // serial account provably matches the strategy formulas).
-        let (comm_virtual, comm_exposed) = match self.sched.as_mut() {
-            Some(sched) => {
+            (Update::Accumulate, Some(sched)) => {
                 let st = sched.take_stats();
                 (st.serial_comm_s, st.exposed_comm_s)
             }
-            None => (comm_s, comm_s),
+            (Update::Accumulate, None) => (run.comm_s, run.comm_s),
+            // Hogwild's communication cost is exactly zero.
+            (Update::Hogwild(_), _) => (0.0, 0.0),
         };
-
         EpochStats {
-            loss_sum,
+            loss_sum: run.loss_sum,
             loss_denom: ctx.steps(),
             steps: ctx.steps(),
             timing: EpochTiming {
-                sampling_s: sources
-                    .iter()
-                    .map(|s| s.sample_busy_s())
-                    .fold(0.0, f64::max),
-                train_s: train_rank.iter().copied().fold(0.0, f64::max),
-                comm_virtual_s: comm_virtual,
-                comm_exposed_s: comm_exposed,
-                overlapped: self.overlap,
+                sampling_s: run.sampling_s,
+                train_s: run.train_s,
+                comm_virtual_s,
+                comm_exposed_s,
+                overlapped: spec.mode.is_prefetch(),
                 comm_overlap: self.sched.is_some(),
             },
-            cache: shard_cache_stats(self.train),
-        }
-    }
-
-    fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
-        let stats = evaluate_with(
-            &mut self.val_tape,
-            &mut self.val_bind,
-            &self.model,
-            self.val,
-            self.cfg.threshold,
-        );
-        Some(ValMetrics {
-            precision: stats.precision(),
-            recall: stats.recall(),
-        })
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.model.params_mut()
-    }
-}
-
-/// Lock-free asynchronous minibatch training (Hogwild!): `workers`
-/// threads train replicas against one [`HogwildShared`] parameter store
-/// with **no** replica lockstep — each step pulls the current shared
-/// weights, runs its own forward/backward, and writes a racy SGD update
-/// straight back. No collectives, no barriers, zero communication cost;
-/// the price is gradient staleness and occasional lost updates, so
-/// convergence is noisier than synchronous DDP (the EXPERIMENTS.md §fig4
-/// study quantifies the trade).
-///
-/// Same trainer interface as [`train_minibatch`]: identical schedule
-/// construction and sharding, so mode comparisons hold the per-worker
-/// workload fixed.
-pub fn train_minibatch_hogwild(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    workers: usize,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-) -> TrainResult {
-    let (nf, ef) = (train[0].x.cols(), train[0].y.cols());
-    let icfg = cfg.ignn_config(nf, ef);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let init_model = InteractionGnn::new(icfg, &mut rng);
-    let pos_weight = cfg.derive_pos_weight(train);
-    let p = workers.max(1);
-
-    let shared = HogwildShared::new(&init_model.params());
-    let schedules: Vec<Vec<(usize, Vec<u32>)>> = (0..cfg.epochs)
-        .map(|e| build_schedule(train, cfg.batch_size, cfg.seed, e))
-        .collect();
-    let sampler_impl = sampler.build(cfg.shadow);
-    let chunk_size = sampler.chunk_size();
-
-    let results = run_workers(p, |rank| {
-        let mut step = HogwildRankStep {
-            rank,
-            p,
-            model: init_model.clone(),
-            cfg,
-            sampler: &*sampler_impl,
-            chunk_size,
-            shared: &shared,
-            schedules: &schedules,
-            train,
-            val,
-            pos_weight,
-            run_validation: rank == 0,
-            val_tape: Tape::new(),
-            val_bind: Bindings::new(),
-        };
-        // Plain SGD matches the racy shared update rule; the local
-        // optimizer step is overwritten by the next pull anyway.
-        TrainLoop::new(Sgd::new(cfg.learning_rate), cfg.epochs).run(&mut step)
-    });
-
-    let mut results = results;
-    let mut epochs = results.remove(0);
-    for reports in &results {
-        for (e, r) in epochs.iter_mut().enumerate() {
-            r.timing.max_merge(&reports[e].timing);
-        }
-    }
-    // The trained model is whatever the shared store converged to.
-    let mut model = init_model;
-    shared.pull(&mut model.params_mut());
-    TrainResult {
-        model,
-        epochs,
-        skipped_graphs: 0,
-    }
-}
-
-/// One Hogwild worker's schedule: its shard of every global batch, with
-/// pull-before-forward and racy push-after-backward instead of a
-/// collective. No cross-rank synchronisation anywhere in the epoch.
-struct HogwildRankStep<'a> {
-    rank: usize,
-    p: usize,
-    model: InteractionGnn,
-    cfg: &'a GnnTrainConfig,
-    sampler: &'a dyn Sampler,
-    chunk_size: usize,
-    shared: &'a HogwildShared,
-    schedules: &'a [Vec<(usize, Vec<u32>)>],
-    train: &'a [PreparedGraph],
-    val: &'a [PreparedGraph],
-    pos_weight: f32,
-    run_validation: bool,
-    val_tape: Tape,
-    val_bind: Bindings,
-}
-
-impl TrainStep for HogwildRankStep<'_> {
-    fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
-        let chunks = plan_chunks(
-            &self.schedules[epoch],
-            self.chunk_size,
-            self.cfg.seed,
-            epoch,
-        );
-        let sharded = ShardChunks::new(chunks.into_iter(), self.rank, self.p);
-        let source = SampledBatchSource::new(self.train, self.sampler, sharded);
-
-        let mut train_s = 0.0f64;
-        let mut loss_sum = 0.0f32;
-        let sampling_s = with_batch_source(BatchingMode::Sync, source, |src| {
-            while let Some(batch) = src.next_batch() {
-                let t = Instant::now();
-                self.shared.pull(&mut self.model.params_mut());
-                loss_sum += batch_forward_backward(ctx, &self.model, &batch, self.pos_weight);
-                let (shared, lr) = (self.shared, self.cfg.learning_rate);
-                ctx.update_with(&mut self.model.params_mut(), |params| {
-                    shared.apply_grads(lr, params);
-                });
-                train_s += t.elapsed().as_secs_f64();
-            }
-            src.sample_busy_s()
-        });
-
-        EpochStats {
-            loss_sum,
-            loss_denom: ctx.steps(),
-            steps: ctx.steps(),
-            // No comm fields: Hogwild's communication cost is exactly zero.
-            timing: EpochTiming {
-                sampling_s,
-                train_s,
-                ..Default::default()
-            },
-            cache: shard_cache_stats(self.train),
+            cache: shard_cache_stats(spec.train),
         }
     }
 
@@ -1156,14 +827,16 @@ impl TrainStep for HogwildRankStep<'_> {
         if !self.run_validation {
             return None;
         }
-        // Validate the *shared* state, not this replica's local copy.
-        self.shared.pull(&mut self.model.params_mut());
+        if let Update::Hogwild(shared) = self.update {
+            // Validate the *shared* state, not this replica's local copy.
+            shared.pull(&mut self.model.params_mut());
+        }
         let stats = evaluate_with(
             &mut self.val_tape,
             &mut self.val_bind,
             &self.model,
-            self.val,
-            self.cfg.threshold,
+            self.spec.val,
+            self.spec.cfg.threshold,
         );
         Some(ValMetrics {
             precision: stats.precision(),
@@ -1179,7 +852,6 @@ impl TrainStep for HogwildRankStep<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trkx_ddp::AllReduceStrategy;
     use trkx_detector::DatasetConfig;
 
     fn tiny_dataset() -> (Vec<PreparedGraph>, Vec<PreparedGraph>) {
@@ -1326,49 +998,24 @@ mod tests {
     }
 
     #[test]
-    fn simulated_ddp_matches_threaded_ddp() {
-        // Same seeds, same shard assignment: the single-thread simulator
-        // must reproduce the threaded trainer's loss trajectory.
-        let (train, val) = tiny_dataset();
-        let mut cfg = quick_cfg();
-        cfg.epochs = 2;
-        cfg.batch_size = 16;
-        let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-        let threaded = train_minibatch(&cfg, SamplerKind::Bulk { k: 2 }, ddp, &train, &val);
-        let simulated =
-            train_minibatch_simulated(&cfg, SamplerKind::Bulk { k: 2 }, ddp, &train, &val);
-        for (a, b) in threaded.epochs.iter().zip(&simulated.epochs) {
-            assert!(
-                (a.train_loss - b.train_loss).abs() < 1e-3,
-                "epoch {}: threaded {} vs simulated {}",
-                a.epoch,
-                a.train_loss,
-                b.train_loss
-            );
-            assert!((a.val_precision - b.val_precision).abs() < 1e-5);
-            assert!((a.val_recall - b.val_recall).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn simulated_ddp_scales_training_time_down() {
+    fn sequential_ddp_scales_training_time_down() {
         // Per-rank compute drops as work is sharded: max-over-ranks train
         // time at P=4 should be well below P=1 for the same schedule.
         let (train, val) = tiny_dataset();
         let mut cfg = quick_cfg();
         cfg.epochs = 1;
         cfg.batch_size = 64;
-        let t1 = train_minibatch_simulated(
+        let t1 = train_minibatch(
             &cfg,
             SamplerKind::Bulk { k: 2 },
-            DdpConfig::new(1, AllReduceStrategy::Coalesced),
+            DdpConfig::new(1, AllReduceStrategy::Coalesced).with_executor(Executor::Sequential),
             &train,
             &val,
         );
-        let t4 = train_minibatch_simulated(
+        let t4 = train_minibatch(
             &cfg,
             SamplerKind::Bulk { k: 2 },
-            DdpConfig::new(4, AllReduceStrategy::Coalesced),
+            DdpConfig::new(4, AllReduceStrategy::Coalesced).with_executor(Executor::Sequential),
             &train,
             &val,
         );

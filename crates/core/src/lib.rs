@@ -38,11 +38,8 @@ pub use embedding::{EmbeddingConfig, EmbeddingStage};
 pub use filter::{FilterConfig, FilterStage};
 pub use gnn_stage::{
     evaluate, evaluate_with, infer_logits, infer_logits_with, prepare_graphs,
-    prepare_graphs_sharded, train_full_graph, train_full_graph_opts, train_full_graph_with_hooks,
-    train_minibatch, train_minibatch_hogwild, train_minibatch_opts, train_minibatch_simulated,
-    train_minibatch_simulated_opts, train_minibatch_simulated_with_hooks,
-    train_minibatch_with_hooks, EpochRecord, GnnTrainConfig, HookFactory, PreparedGraph,
-    SamplerKind, TrainResult,
+    prepare_graphs_sharded, train_full_graph, train_minibatch, train_minibatch_hogwild,
+    train_minibatch_opts, GnnTrainConfig, HookFactory, PreparedGraph, SamplerKind, TrainResult,
 };
 pub use graph_construction::{
     build_graph_from_embeddings, build_graph_with_method, tune_radius, ConstructedGraph,

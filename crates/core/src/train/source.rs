@@ -164,6 +164,20 @@ pub trait BatchSource {
     fn stall_s(&self) -> f64;
 }
 
+impl<B: BatchSource + ?Sized> BatchSource for Box<B> {
+    fn next_batch(&mut self) -> Option<SampledBatch> {
+        (**self).next_batch()
+    }
+
+    fn sample_busy_s(&self) -> f64 {
+        (**self).sample_busy_s()
+    }
+
+    fn stall_s(&self) -> f64 {
+        (**self).stall_s()
+    }
+}
+
 /// Synchronous sampling source: pulls chunks from the plan, samples each
 /// with one `sample_bulk` call on the *calling* thread, and hands out the
 /// resulting batches one at a time.

@@ -12,12 +12,11 @@ use trkx_core::train::{
     HookCtx, LrScheduleHook, Monitor, TrainLoop, TrainStep, ValMetrics,
 };
 use trkx_core::{
-    prepare_graphs, train_full_graph, train_minibatch, train_minibatch_opts,
-    train_minibatch_simulated, train_minibatch_simulated_opts, train_minibatch_with_hooks,
-    BatchingMode, EmbeddingConfig, EmbeddingStage, FilterConfig, FilterStage, GnnTrainConfig,
-    PreparedGraph, SamplerKind, TrainResult,
+    prepare_graphs, train_full_graph, train_minibatch, train_minibatch_opts, BatchingMode,
+    EmbeddingConfig, EmbeddingStage, FilterConfig, FilterStage, GnnTrainConfig, PreparedGraph,
+    SamplerKind, TrainResult,
 };
-use trkx_ddp::{AllReduceStrategy, DdpConfig};
+use trkx_ddp::{AllReduceStrategy, DdpConfig, Executor};
 use trkx_detector::{simulate_event, vertex_features, DatasetConfig, DetectorGeometry, GunConfig};
 use trkx_nn::{Adam, Param, StepDecay};
 use trkx_sampling::ShadowConfig;
@@ -144,8 +143,8 @@ fn simulated_ddp_curve_matches_pre_harness_golden() {
     let (train, val) = tiny_dataset();
     let mut cfg = quick_cfg();
     cfg.batch_size = 16;
-    let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-    let r = train_minibatch_simulated(&cfg, SamplerKind::Bulk { k: 2 }, ddp, &train, &val);
+    let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced).with_executor(Executor::Sequential);
+    let r = train_minibatch(&cfg, SamplerKind::Bulk { k: 2 }, ddp, &train, &val);
     assert_curves(&r, &DDP_GOLDEN_LOSS, &DDP_GOLDEN_VAL);
 }
 
@@ -209,20 +208,20 @@ fn prefetch_baseline_curve_matches_pre_harness_golden() {
 
 #[test]
 fn simulated_overlap_keeps_curves_and_charges_max() {
-    // The single-threaded simulator models overlap purely in the virtual
+    // The sequential executor models prefetching purely in the virtual
     // clock: identical math, epoch time max(sampling, train) + comm.
     let (train, val) = tiny_dataset();
     let mut cfg = quick_cfg();
     cfg.batch_size = 16;
-    let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-    let r = train_minibatch_simulated_opts(
+    let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced).with_executor(Executor::Sequential);
+    let r = train_minibatch_opts(
         &cfg,
         SamplerKind::Bulk { k: 2 },
-        true,
+        BatchingMode::prefetch(),
         ddp,
         &train,
         &val,
-        Vec::new(),
+        None,
     );
     assert_curves(&r, &DDP_GOLDEN_LOSS, &DDP_GOLDEN_VAL);
     for e in &r.epochs {
@@ -243,9 +242,10 @@ fn threaded_ddp_early_stops_in_lockstep() {
     let mut cfg = quick_cfg();
     cfg.batch_size = 16;
     let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-    let r = train_minibatch_with_hooks(
+    let r = train_minibatch_opts(
         &cfg,
         SamplerKind::Bulk { k: 2 },
+        BatchingMode::Sync,
         ddp,
         &train,
         &val,

@@ -51,22 +51,10 @@ impl CommCostModel {
         steps * self.latency_s + steps / p as f64 * bytes as f64 / self.bandwidth_bytes_per_s
     }
 
-    /// Total time for `tensors` separate all-reduce calls of the given
-    /// sizes (the naive per-tensor path).
-    pub fn per_tensor_time(&self, tensor_bytes: &[usize], p: usize) -> f64 {
-        tensor_bytes
-            .iter()
-            .map(|&b| self.ring_allreduce_time(b, p))
-            .sum()
-    }
-
-    /// Time for one coalesced call over the stacked buffer.
-    pub fn coalesced_time(&self, tensor_bytes: &[usize], p: usize) -> f64 {
-        self.ring_allreduce_time(tensor_bytes.iter().sum(), p)
-    }
-
     /// Time under greedy bucketing (one call per bucket of at most
     /// `bucket_bytes`, matching `AllReduceStrategy::Bucketed` packing).
+    /// A zero budget is the per-tensor path (one call per tensor);
+    /// `usize::MAX` is one coalesced call over the stacked buffer.
     pub fn bucketed_time(&self, tensor_bytes: &[usize], bucket_bytes: usize, p: usize) -> f64 {
         let mut total = 0.0;
         let mut i = 0;
@@ -156,8 +144,8 @@ mod tests {
         // 50 tensors of 64x64 f32 = 16 KiB each (the IGNN's parameter
         // shape census).
         let sizes = vec![64 * 64 * 4; 50];
-        let per_tensor = m.per_tensor_time(&sizes, 4);
-        let coalesced = m.coalesced_time(&sizes, 4);
+        let per_tensor = m.bucketed_time(&sizes, 0, 4);
+        let coalesced = m.bucketed_time(&sizes, usize::MAX, 4);
         assert!(coalesced < per_tensor);
         // The saving is exactly 49 messages' worth of latency.
         let saving = per_tensor - coalesced;
@@ -181,11 +169,17 @@ mod tests {
     fn bucketed_time_interpolates() {
         let m = CommCostModel::nvlink3();
         let sizes = vec![16 * 1024; 40];
-        let per = m.per_tensor_time(&sizes, 4);
-        let coal = m.coalesced_time(&sizes, 4);
-        // Tiny buckets = per-tensor; huge buckets = coalesced.
-        assert!((m.bucketed_time(&sizes, 1, 4) - per).abs() < 1e-12);
-        assert!((m.bucketed_time(&sizes, usize::MAX, 4) - coal).abs() < 1e-12);
+        // Reference formulas: one call per tensor, one call in total.
+        let per: f64 = sizes.iter().map(|&b| m.ring_allreduce_time(b, 4)).sum();
+        let coal = m.ring_allreduce_time(sizes.iter().sum(), 4);
+        // Zero and tiny budgets = per-tensor; unbounded = coalesced.
+        for budget in [0, 1] {
+            assert_eq!(m.bucketed_time(&sizes, budget, 4).to_bits(), per.to_bits());
+        }
+        assert_eq!(
+            m.bucketed_time(&sizes, usize::MAX, 4).to_bits(),
+            coal.to_bits()
+        );
         // Intermediate bucket strictly between.
         let mid = m.bucketed_time(&sizes, 64 * 1024, 4);
         assert!(coal < mid && mid < per, "{coal} < {mid} < {per}");

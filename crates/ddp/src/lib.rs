@@ -17,4 +17,4 @@ pub mod trainer;
 pub use allreduce::{run_workers, AllReduceStrategy, AllReducer};
 pub use comm::{CommCostModel, VirtualClock};
 pub use scheduler::{BucketScheduler, CommLink, OverlapStats};
-pub use trainer::{DdpConfig, EpochTiming};
+pub use trainer::{DdpConfig, EpochTiming, Executor};

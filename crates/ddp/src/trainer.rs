@@ -4,6 +4,23 @@ use crate::allreduce::AllReduceStrategy;
 use crate::comm::{CommCostModel, VirtualClock};
 use serde::{Deserialize, Serialize};
 
+/// How the ranks of a DDP run execute. Both executors compute the same
+/// losses, validation metrics and parameters bit for bit; they differ
+/// only in what the timings measure and how many replicas exist.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Executor {
+    /// One model replica per rank, each on its own worker thread, with a
+    /// real shared-memory all-reduce between them.
+    #[default]
+    Threads,
+    /// One model on the calling thread: every optimizer step runs the
+    /// ranks' forward/backward passes in order, accumulates their
+    /// gradients, averages them, and charges the α–β model for the
+    /// collective. Per-rank compute time is exact even on hosts with
+    /// fewer cores than ranks.
+    Sequential,
+}
+
 /// Distributed-data-parallel run configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DdpConfig {
@@ -19,6 +36,9 @@ pub struct DdpConfig {
     /// exposure of communication changes.
     #[serde(default)]
     pub comm_overlap: bool,
+    /// Threaded replicas or the sequential single-model run.
+    #[serde(default)]
+    pub executor: Executor,
 }
 
 impl DdpConfig {
@@ -29,6 +49,7 @@ impl DdpConfig {
             strategy: AllReduceStrategy::Coalesced,
             cost_model: CommCostModel::nvlink3(),
             comm_overlap: false,
+            executor: Executor::Threads,
         }
     }
 
@@ -38,12 +59,19 @@ impl DdpConfig {
             strategy,
             cost_model: CommCostModel::nvlink3(),
             comm_overlap: false,
+            executor: Executor::Threads,
         }
     }
 
     /// Toggle backward-overlapped bucket reduction.
     pub fn with_overlap(mut self, on: bool) -> Self {
         self.comm_overlap = on;
+        self
+    }
+
+    /// Run the ranks on `executor`.
+    pub fn with_executor(mut self, executor: Executor) -> Self {
+        self.executor = executor;
         self
     }
 }
@@ -196,5 +224,8 @@ mod tests {
         let c = DdpConfig::new(4, AllReduceStrategy::PerTensor);
         assert_eq!(c.workers, 4);
         assert_eq!(c.strategy, AllReduceStrategy::PerTensor);
+        assert_eq!(c.executor, Executor::Threads);
+        let c = c.with_executor(Executor::Sequential);
+        assert_eq!(c.executor, Executor::Sequential);
     }
 }

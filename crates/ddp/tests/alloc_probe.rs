@@ -9,7 +9,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 use trkx_ddp::{AllReduceStrategy, AllReducer, BucketScheduler, CommCostModel, CommLink};
 use trkx_nn::{BucketLayout, Param};
 use trkx_tensor::Matrix;
@@ -27,6 +27,16 @@ unsafe impl GlobalAlloc for Counting {
 }
 #[global_allocator]
 static A: Counting = Counting;
+
+/// The counter is process-global and the test harness runs tests on
+/// parallel threads, so one test's set-up allocations would land in
+/// another's measured window. Each test holds this lock for its whole
+/// body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn steady_state_allocs(label: &str, mut f: impl FnMut()) {
     let measure = |f: &mut dyn FnMut()| {
@@ -65,6 +75,7 @@ const SIZES: &[usize] = &[64, 7, 128, 33, 16, 250];
 
 #[test]
 fn single_rank_sync_is_alloc_free_for_every_strategy() {
+    let _serial = serial();
     let reducer = AllReducer::new(1, CommCostModel::nvlink3());
     for strategy in [
         AllReduceStrategy::PerTensor,
@@ -81,6 +92,7 @@ fn single_rank_sync_is_alloc_free_for_every_strategy() {
 
 #[test]
 fn multi_rank_sync_is_alloc_free_for_every_strategy() {
+    let _serial = serial();
     const P: usize = 2;
     for strategy in [
         AllReduceStrategy::PerTensor,
@@ -122,6 +134,7 @@ fn multi_rank_sync_is_alloc_free_for_every_strategy() {
 
 #[test]
 fn overlapped_scheduler_fire_path_is_alloc_free() {
+    let _serial = serial();
     let mut params = mk_params(SIZES);
     let mut refs: Vec<&mut Param> = params.iter_mut().collect();
     let mut sched = BucketScheduler::new(BucketLayout::from_sizes(SIZES, 256));

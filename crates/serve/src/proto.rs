@@ -199,6 +199,15 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_an_error_not_an_abort() {
+        let line = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        match parse_request(&line) {
+            Err(e) => assert!(e.starts_with("bad json: "), "{e}"),
+            Ok(r) => panic!("parsed {r:?}"),
+        }
+    }
+
+    #[test]
     fn response_roundtrips_through_json() {
         let mut r = Response::ok(7);
         r.version = Some(3);

@@ -9,8 +9,8 @@
 use trkx::ddp::DdpConfig;
 use trkx::detector::{dataset_stats, split_80_10_10, DatasetConfig};
 use trkx::pipeline::{
-    prepare_graphs, train_minibatch_with_hooks, EarlyStoppingHook, GnnTrainConfig, Hook, Monitor,
-    SamplerKind, TelemetryHook,
+    prepare_graphs, train_minibatch_opts, BatchingMode, EarlyStoppingHook, GnnTrainConfig, Hook,
+    Monitor, SamplerKind, TelemetryHook,
 };
 use trkx::sampling::ShadowConfig;
 
@@ -71,9 +71,10 @@ fn main() {
             Box::new(EarlyStoppingHook::new(Monitor::ValF1, patience, 0.0)),
         ]
     };
-    let result = train_minibatch_with_hooks(
+    let result = train_minibatch_opts(
         &cfg,
         SamplerKind::Bulk { k: 4 },
+        BatchingMode::Sync,
         DdpConfig::single(),
         train,
         val,

@@ -42,11 +42,19 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_content(&value).map_err(|e| Error::new(e.to_string()))
 }
 
-/// Parse JSON text into a [`Value`] tree.
+/// Deepest array/object nesting [`parse_value`] accepts (upstream
+/// serde_json's default recursion limit). The parser recurses once per
+/// level, so without a limit one hostile line of `[[[…` would overflow
+/// the stack and abort the process instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
+/// Parse JSON text into a [`Value`] tree. Arrays and objects nested
+/// deeper than 128 levels are an error.
 pub fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -60,6 +68,8 @@ pub fn parse_value(s: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -102,8 +112,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Content::Str(self.string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Content::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Content::Bool(false)),
@@ -115,6 +125,20 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, Error> {
@@ -403,6 +427,18 @@ mod tests {
         let text = to_string(s).unwrap();
         let back: String = from_str(&text).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        let mixed = format!("{}{}", "{\"a\":[".repeat(64), "]}".repeat(64));
+        assert!(parse_value(&mixed).is_ok(), "128 levels of objects and arrays");
+        for n in [MAX_DEPTH + 1, 100_000] {
+            let err = parse_value(&nested(n)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! ```
 //! use trkx::detector::DatasetConfig;
 //! use trkx::pipeline::{prepare_graphs, train_minibatch, GnnTrainConfig, SamplerKind};
-//! use trkx::ddp::DdpConfig;
+//! use trkx::ddp::{AllReduceStrategy, DdpConfig, Executor};
 //! use trkx::sampling::ShadowConfig;
 //!
 //! // A small Ex3-like synthetic dataset (Table I shape at 1% scale).
@@ -39,10 +39,14 @@
 //!     shadow: ShadowConfig { depth: 2, fanout: 4 },
 //!     ..Default::default()
 //! };
+//! // Two data-parallel ranks run in order on one model; the default
+//! // `Executor::Threads` gives each rank its own thread and replica and
+//! // trains the same bits.
+//! let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced).with_executor(Executor::Sequential);
 //! let result = train_minibatch(
 //!     &cfg,
 //!     SamplerKind::Bulk { k: 4 },
-//!     DdpConfig::single(),
+//!     ddp,
 //!     &graphs[..2],
 //!     &graphs[2..],
 //! );

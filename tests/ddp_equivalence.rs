@@ -1,8 +1,9 @@
 //! DDP integration tests: the two all-reduce strategies are numerically
-//! identical (only their modeled cost differs), and multi-worker training
-//! remains stable.
+//! identical (only their modeled cost differs), the threaded and the
+//! sequential executor train bit-identical models, and multi-worker
+//! training remains stable.
 
-use trkx::ddp::{AllReduceStrategy, DdpConfig};
+use trkx::ddp::{AllReduceStrategy, DdpConfig, Executor};
 use trkx::detector::DatasetConfig;
 use trkx::pipeline::{prepare_graphs, train_minibatch, GnnTrainConfig, SamplerKind};
 use trkx::sampling::ShadowConfig;
@@ -156,16 +157,51 @@ fn overlapped_comm_is_bit_identical_to_post_hoc_threaded() {
 }
 
 #[test]
+fn executors_train_bit_identical_models() {
+    // One rank-step driver, two executors: threaded replicas with a real
+    // all-reduce, and one model running the ranks in order. Every
+    // strategy and worker count must give the same losses, validation
+    // metrics and parameters bit for bit.
+    let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
+    let prepared = prepare_graphs(&data);
+    let (train, val) = prepared.split_at(2);
+    let c = cfg();
+    let strategies = [
+        AllReduceStrategy::PerTensor,
+        AllReduceStrategy::Coalesced,
+        AllReduceStrategy::Bucketed { bucket_bytes: 4096 },
+    ];
+    let mut arms: Vec<DdpConfig> = [1usize, 2, 3, 4]
+        .iter()
+        .flat_map(|&p| strategies.map(|s| DdpConfig::new(p, s)))
+        .collect();
+    arms.push(
+        DdpConfig::new(3, AllReduceStrategy::Bucketed { bucket_bytes: 4096 }).with_overlap(true),
+    );
+    for ddp in arms {
+        let threads = train_minibatch(&c, SamplerKind::Bulk { k: 2 }, ddp, train, val);
+        let sequential = train_minibatch(
+            &c,
+            SamplerKind::Bulk { k: 2 },
+            ddp.with_executor(Executor::Sequential),
+            train,
+            val,
+        );
+        assert_golden_parity(&threads, &sequential);
+    }
+}
+
+#[test]
 fn overlapped_comm_is_bit_identical_to_post_hoc_simulated() {
-    use trkx::pipeline::train_minibatch_simulated;
     let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
     let prepared = prepare_graphs(&data);
     let (train, val) = prepared.split_at(2);
     let c = cfg();
     for p in [1usize, 2, 4] {
-        let ddp = DdpConfig::new(p, AllReduceStrategy::Bucketed { bucket_bytes: 4096 });
-        let post = train_minibatch_simulated(&c, SamplerKind::Bulk { k: 2 }, ddp, train, val);
-        let over = train_minibatch_simulated(
+        let ddp = DdpConfig::new(p, AllReduceStrategy::Bucketed { bucket_bytes: 4096 })
+            .with_executor(Executor::Sequential);
+        let post = train_minibatch(&c, SamplerKind::Bulk { k: 2 }, ddp, train, val);
+        let over = train_minibatch(
             &c,
             SamplerKind::Bulk { k: 2 },
             ddp.with_overlap(true),
