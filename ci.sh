@@ -20,10 +20,10 @@ cargo run -q --release -p trkx-bench --bin trainstep -- \
 
 # Matmul scaling smoke: sweep pool sizes 1/2/4 with the parallel GEMM
 # path forced on for every shape. Gates (a) the structural
-# fused-shrinks-the-tape invariant at each pool size and (b) allocation
-# flatness — per-thread pooled scratch means the fused step's alloc
-# count must not vary with the pool size (±5 tolerates one-off pool
-# warmup effects).
+# fused-assembly-shrinks-the-tape invariant at each pool size and (b)
+# allocation flatness — per-thread pooled scratch means the fused step's
+# alloc count must not vary with the pool size (±5 tolerates one-off
+# pool warmup effects).
 TRKX_PAR_MATMUL_THRESHOLD=1 cargo run -q --release -p trkx-bench --bin mp -- \
     --edges 2048 --layers 2 --reps 2 --threads 1,2,4 \
     --max-alloc-spread 5 --out /tmp/BENCH_mp_smoke.json
@@ -79,21 +79,23 @@ cargo run -q --release -p trkx-bench --bin ddp -- --tiny --out /tmp/BENCH_ddp_sm
 # serving regression fails fast with its own line in the CI log.
 cargo test -q --release --test serve_e2e
 
-# JSON depth gate: request lines nested past the parser's limit must be
-# an error, never a stack-overflow abort (the serve-side case is in the
-# workspace suite above; this runs the shim's own depth test).
-(cd shims/serde_json && cargo test -q --release nesting_is_limited_to_max_depth)
+# JSON shim suite: round-trips, exact float text, and the depth gate
+# (request lines nested past the parser's limit must be an error, never
+# a stack-overflow abort; the serve-side case is in the workspace suite
+# above).
+(cd shims/serde_json && cargo test -q --release)
 
 # Serve bench smoke: one tiny (workers, batch) arm through the
 # micro-batching core; asserts every sized event completes and the
 # oversized one sheds.
 cargo run -q --release -p trkx-bench --bin serve -- --tiny --out /tmp/BENCH_serve_smoke.json
 
-# Graph-construction engine gates: the grid/kd/brute backends must emit
-# bit-identical edge lists (property-pinned, including duplicate,
-# colinear, and NaN clouds) at two pool sizes, and the construct bench
-# smoke gates cross-backend/cross-thread parity hashes plus the pooled
-# engine's flat per-event allocation count.
+# Graph-construction engine gates: the grid engine must emit edge lists
+# bit-identical to the brute-force oracle `radius_graph_brute`
+# (property-pinned, including duplicate, colinear, and NaN clouds) at two
+# pool sizes, and the construct bench smoke gates grid/oracle/seed-kd
+# cross-thread parity hashes plus the pooled grid engine's flat
+# per-event allocation count.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-graph --test proptests
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-graph --test proptests
 cargo run -q --release -p trkx-bench --bin construct -- --tiny --out /tmp/BENCH_construct_smoke.json

@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the fused message-passing kernels:
 //! serial vs plan-driven scatter-add, unfused vs fused edge-input
-//! assembly, and one IGNN forward+backward through each path. The `mp`
+//! assembly, and one fused IGNN forward+backward. The `mp`
 //! binary (`src/bin/mp.rs`) measures the same kernels with allocation
 //! accounting and thread-count sweeps; this harness gives statistically
 //! sound single-configuration timings.
@@ -98,23 +98,6 @@ fn bench_model_step(c: &mut Criterion) {
     let mut tape = Tape::new();
     let mut group = c.benchmark_group("mp_forward_backward");
     group.sample_size(10);
-    group.bench_function("unfused", |b| {
-        b.iter(|| {
-            tape.reset();
-            let mut bind = Bindings::new();
-            let logits = model.forward_unfused(
-                &mut tape,
-                &mut bind,
-                &f.x,
-                &f.y,
-                f.src.clone(),
-                f.dst.clone(),
-            );
-            let loss = bce_with_logits(&mut tape, logits, &f.labels, 1.0);
-            tape.backward(loss);
-            std::hint::black_box(tape.value(loss).as_scalar())
-        })
-    });
     group.bench_function("fused", |b| {
         b.iter(|| {
             tape.reset();

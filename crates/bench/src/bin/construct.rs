@@ -1,19 +1,20 @@
 //! Stage-2 graph-construction benchmark with parity and allocation
 //! gates.
 //!
-//! Sweeps event size × embedding dimension × index backend (grid FRNN,
-//! rebuilt kd-tree, brute reference) and compares the pooled engine
-//! against a faithful replica of the seed kd-tree path (sort-based
-//! recursive build, allocating per-query result vectors, flat-map
-//! collect + global parallel sort). The shim thread pool is sized once
-//! per process, so thread scaling runs one child process per pool size
-//! (the `mp` bench pattern) — which doubles as the cross-thread-count
-//! determinism check: every backend must produce the same FNV-1a edge
-//! hash at every thread count.
+//! Sweeps event size × embedding dimension over three arms: the pooled
+//! grid FRNN engine, the brute-force oracle `radius_graph_brute` (a
+//! parity reference), and a faithful replica of the seed kd-tree path
+//! (sort-based recursive build, allocating per-query result vectors,
+//! flat-map collect + global parallel sort). The shim thread pool is
+//! sized once per process, so thread scaling runs one child process per
+//! pool size (the `mp` bench pattern) — which doubles as the
+//! cross-thread-count determinism check: every arm must produce the same
+//! FNV-1a edge hash at every thread count.
 //!
 //! Results go to `BENCH_construct.json`. Exit is non-zero when
-//! - any backend/thread-count pair disagrees on an edge hash (parity),
-//! - steady-state allocations per event exceed `--max-allocs`, or
+//! - any arm/thread-count pair disagrees on an edge hash (parity),
+//! - the pooled grid engine's steady-state allocations per event exceed
+//!   `--max-allocs`, or
 //! - the grid engine's speedup over the seed path at the funnel-scale
 //!   case falls below `--min-speedup` (default 3; `--tiny` skips this
 //!   gate and shrinks the sweep for CI smoke runs).
@@ -28,7 +29,7 @@ use std::time::Instant;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use trkx_bench::{arg_flag, arg_value};
-use trkx_graph::{Backend, GraphIndex};
+use trkx_graph::{radius_graph_brute, GraphIndex};
 
 /// System allocator wrapped with an allocation counter.
 struct CountingAlloc;
@@ -200,7 +201,7 @@ fn cloud(n: usize, dim: usize, seed: u64) -> Vec<f32> {
     pts
 }
 
-/// FNV-1a over the edge list — the cross-backend / cross-thread-count
+/// FNV-1a over the edge list — the cross-arm / cross-thread-count
 /// parity fingerprint.
 fn edge_hash(edges: &[(u32, u32)]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -224,25 +225,11 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn backend_name(b: Backend) -> &'static str {
-    match b {
-        Backend::Grid => "grid",
-        Backend::Kd => "kd",
-        Backend::Brute => "brute",
-    }
-}
-
-/// Measure one engine backend on one cloud: per-event time for the full
-/// serving pattern (rebuild index + emit edges into a pooled buffer),
-/// steady-state allocations per event, and the parity hash.
-fn measure_engine(
-    points: &[f32],
-    dim: usize,
-    r: f32,
-    backend: Backend,
-    reps: usize,
-) -> (f64, u64, u64, usize) {
-    let mut idx = GraphIndex::new(backend);
+/// Measure the pooled grid engine on one cloud: per-event time for the
+/// full serving pattern (rebuild index + emit edges into a pooled
+/// buffer), steady-state allocations per event, and the parity hash.
+fn measure_engine(points: &[f32], dim: usize, r: f32, reps: usize) -> (f64, u64, u64, usize) {
+    let mut idx = GraphIndex::default();
     let mut edges = Vec::new();
     let mut event = || {
         idx.rebuild(points, dim, r);
@@ -261,15 +248,17 @@ fn measure_engine(
     (ms, allocs, edge_hash(&edges), edges.len())
 }
 
-fn measure_seed(points: &[f32], dim: usize, r: f32, reps: usize) -> (f64, u64, u64, usize) {
-    let mut edges = seed_baseline::radius_graph_seed(points, dim, r);
+/// Measure a one-shot edge builder (the oracle or the seed replica):
+/// per-call time, allocations per call, and the parity hash.
+fn measure_fn(build: impl Fn() -> Vec<(u32, u32)>, reps: usize) -> (f64, u64, u64, usize) {
+    let mut edges = build();
     let a0 = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..4 {
-        edges = seed_baseline::radius_graph_seed(points, dim, r);
+        edges = build();
     }
     let allocs = (ALLOCS.load(Ordering::Relaxed) - a0) / 4;
     let ms = time_ms(reps, || {
-        std::hint::black_box(seed_baseline::radius_graph_seed(points, dim, r));
+        std::hint::black_box(build());
     });
     (ms, allocs, edge_hash(&edges), edges.len())
 }
@@ -286,19 +275,29 @@ fn parse_list(s: &str) -> Vec<usize> {
 }
 
 /// One measurement pass at the current process's pool size: every
-/// (n, dim) case × {grid, kd, brute, seed-kd}.
+/// (n, dim) case × {grid, brute, seed-kd}.
 fn child_pass(s: &Sweep) -> serde_json::Value {
     let mut cases = Vec::new();
     for &n in &s.ns {
         for &dim in &s.dims {
             let points = cloud(n, dim, 31 + n as u64 * 8 + dim as u64);
-            for backend in [Backend::Grid, Backend::Kd, Backend::Brute] {
-                let (ms, allocs, hash, edges) =
-                    measure_engine(&points, dim, s.radius, backend, s.reps);
+            let r = s.radius;
+            let arms = [
+                ("grid", measure_engine(&points, dim, r, s.reps)),
+                (
+                    "brute",
+                    measure_fn(|| radius_graph_brute(&points, dim, r), s.reps),
+                ),
+                (
+                    "seed-kd",
+                    measure_fn(|| seed_baseline::radius_graph_seed(&points, dim, r), s.reps),
+                ),
+            ];
+            for (backend, (ms, allocs, hash, edges)) in arms {
                 cases.push(serde_json::json!({
                     "n": n,
                     "dim": dim,
-                    "backend": backend_name(backend),
+                    "backend": backend,
                     "event_ms": ms,
                     "edges": edges,
                     "edges_per_s": if ms > 0.0 { edges as f64 / (ms * 1e-3) } else { 0.0 },
@@ -306,17 +305,6 @@ fn child_pass(s: &Sweep) -> serde_json::Value {
                     "edge_hash": format!("{hash:016x}"),
                 }));
             }
-            let (ms, allocs, hash, edges) = measure_seed(&points, dim, s.radius, s.reps);
-            cases.push(serde_json::json!({
-                "n": n,
-                "dim": dim,
-                "backend": "seed-kd",
-                "event_ms": ms,
-                "edges": edges,
-                "edges_per_s": if ms > 0.0 { edges as f64 / (ms * 1e-3) } else { 0.0 },
-                "allocs_per_event": allocs,
-                "edge_hash": format!("{hash:016x}"),
-            }));
         }
     }
     serde_json::Value::Map(vec![
@@ -408,7 +396,7 @@ fn main() {
         runs.push(record);
     }
 
-    // Gate 1 — parity: for each (n, dim), every backend in every child
+    // Gate 1 — parity: for each (n, dim), every arm in every child
     // (thread count) must report the same edge hash.
     let case_field = |case: &serde_json::Value, key: &str| -> String {
         case.get(key)
@@ -442,13 +430,14 @@ fn main() {
         }
     }
 
-    // Gate 2 — pooled engine backends allocate (almost) nothing per
-    // event once warm.
+    // Gate 2 — the pooled grid engine allocates (almost) nothing per
+    // event once warm. The one-shot oracle and seed replica allocate
+    // their output by design and are not gated.
     for run in &runs {
         let threads = run.get("threads").and_then(|v| v.as_u64()).unwrap_or(0);
         for case in run.get("cases").and_then(|c| c.as_seq()).unwrap_or(&[]) {
             let backend = case_field(case, "backend");
-            if backend == "seed-kd" {
+            if backend != "grid" {
                 continue;
             }
             let allocs = case

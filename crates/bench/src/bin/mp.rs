@@ -1,10 +1,11 @@
 //! Message-passing kernel microbenchmark with allocation accounting.
 //!
 //! Times the kernels the fused message-passing path replaced against
-//! their references — serial vs plan-driven scatter, unfused vs fused
-//! edge-input assembly, and the whole IGNN forward+backward both ways —
-//! and counts steady-state heap allocations and tape activation floats
-//! per step for each path. Results go to `BENCH_mp.json`.
+//! their references — serial vs plan-driven scatter and unfused vs
+//! fused edge-input assembly (with the activation floats each assembly
+//! leaves on its tape) — plus the fused IGNN forward+backward with its
+//! steady-state heap allocations and tape activation floats per step.
+//! Results go to `BENCH_mp.json`.
 //!
 //! The shim thread pool is sized once per process (`RAYON_NUM_THREADS`),
 //! so thread scaling is measured by re-executing this binary as a child
@@ -13,7 +14,7 @@
 //! Usage: `mp [--nodes N] [--edges M] [--hidden H] [--layers L]
 //! [--reps R] [--threads 1,4] [--out PATH]`
 //!
-//! Exits non-zero if the fused path does not strictly reduce tape
+//! Exits non-zero if the fused assembly does not strictly reduce tape
 //! activation floats — a deterministic structural gate CI relies on.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,19 +107,26 @@ fn measure(s: &Sizes) -> serde_json::Value {
         edge_feat.scatter_rows_planned_acc(&plans.src_plan, &mut out);
         std::hint::black_box(out);
     });
-    let msg_assembly_unfused_ms = time_ms(s.reps, || {
+    // Edge-MLP input assembly both ways; returns the floats the
+    // assembly leaves on its tape (the structural gate's measure).
+    let assemble = |fused: bool| -> usize {
         let mut t = Tape::new();
         let xv = t.constant_copied(&node_feat);
         let yv = t.constant_copied(&edge_state);
-        let xs = t.gather(xv, src.clone());
-        let xd = t.gather(xv, dst.clone());
-        std::hint::black_box(t.concat_cols(&[yv, xs, xd]));
+        if fused {
+            std::hint::black_box(t.gather_concat(yv, xv, plans.clone()));
+        } else {
+            let xs = t.gather(xv, src.clone());
+            let xd = t.gather(xv, dst.clone());
+            std::hint::black_box(t.concat_cols(&[yv, xs, xd]));
+        }
+        t.activation_floats()
+    };
+    let msg_assembly_unfused_ms = time_ms(s.reps, || {
+        assemble(false);
     });
     let msg_assembly_fused_ms = time_ms(s.reps, || {
-        let mut t = Tape::new();
-        let xv = t.constant_copied(&node_feat);
-        let yv = t.constant_copied(&edge_state);
-        std::hint::black_box(t.gather_concat(yv, xv, plans.clone()));
+        assemble(true);
     });
 
     // Whole-model forward+backward, reusing one tape so the buffer pool
@@ -129,15 +137,11 @@ fn measure(s: &Sizes) -> serde_json::Value {
         .with_mlp_depth(2);
     let model = InteractionGnn::new(cfg, &mut rng);
     let mut tape = Tape::new();
-    let run_fb = |fused: bool, tape: &mut Tape| -> usize {
+    let mut run_fb = || -> usize {
         tape.reset();
         let mut bind = Bindings::new();
-        let logits = if fused {
-            model.forward_planned(tape, &mut bind, &x, &y, &plans)
-        } else {
-            model.forward_unfused(tape, &mut bind, &x, &y, src.clone(), dst.clone())
-        };
-        let loss = bce_with_logits(tape, logits, &labels, 1.0);
+        let logits = model.forward_planned(&mut tape, &mut bind, &x, &y, &plans);
+        let loss = bce_with_logits(&mut tape, logits, &labels, 1.0);
         let floats = tape.activation_floats();
         tape.backward(loss);
         floats
@@ -145,19 +149,11 @@ fn measure(s: &Sizes) -> serde_json::Value {
 
     let mut activation_floats_fused = 0;
     let model_fb_fused_ms = time_ms(s.reps, || {
-        activation_floats_fused = run_fb(true, &mut tape);
+        activation_floats_fused = run_fb();
     });
     let a0 = ALLOCS.load(Ordering::Relaxed);
-    run_fb(true, &mut tape);
+    run_fb();
     let allocs_fused = ALLOCS.load(Ordering::Relaxed) - a0;
-
-    let mut activation_floats_unfused = 0;
-    let model_fb_unfused_ms = time_ms(s.reps, || {
-        activation_floats_unfused = run_fb(false, &mut tape);
-    });
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    run_fb(false, &mut tape);
-    let allocs_unfused = ALLOCS.load(Ordering::Relaxed) - a0;
 
     serde_json::json!({
         "threads": rayon::current_num_threads(),
@@ -166,12 +162,11 @@ fn measure(s: &Sizes) -> serde_json::Value {
         "scatter_planned_ms": scatter_planned_ms,
         "msg_assembly_unfused_ms": msg_assembly_unfused_ms,
         "msg_assembly_fused_ms": msg_assembly_fused_ms,
-        "model_fb_unfused_ms": model_fb_unfused_ms,
         "model_fb_fused_ms": model_fb_fused_ms,
-        "allocs_unfused_per_step": allocs_unfused,
         "allocs_fused_per_step": allocs_fused,
-        "activation_floats_unfused": activation_floats_unfused,
         "activation_floats_fused": activation_floats_fused,
+        "assembly_floats_unfused": assemble(false),
+        "assembly_floats_fused": assemble(true),
     })
 }
 
@@ -262,12 +257,11 @@ fn main() {
         let n = run.get("threads").and_then(|v| v.as_u64()).unwrap_or(0);
         println!(
             "mp threads={n}: scatter {:.3}→{:.3} ms, assembly {:.3}→{:.3} ms, \
-             model f+b {:.1}→{:.1} ms ({scaling:.2}x vs 1 thread)",
+             model f+b {:.1} ms ({scaling:.2}x vs 1 thread)",
             ms("scatter_serial_ms"),
             ms("scatter_planned_ms"),
             ms("msg_assembly_unfused_ms"),
             ms("msg_assembly_fused_ms"),
-            ms("model_fb_unfused_ms"),
             ms("model_fb_fused_ms"),
         );
     }
@@ -291,13 +285,13 @@ fn main() {
     std::fs::write(&out, format!("{report}\n")).expect("write bench report");
     println!("wrote {out}");
 
-    // Structural gate: fusion must strictly shrink the live tape.
+    // Structural gate: fused assembly must strictly shrink the live tape.
     for run in report.get("runs").and_then(|r| r.as_seq()).unwrap_or(&[]) {
         let floats = |key: &str| run.get(key).and_then(|v| v.as_u64());
-        let fused = floats("activation_floats_fused").unwrap_or(u64::MAX);
-        let unfused = floats("activation_floats_unfused").unwrap_or(0);
+        let fused = floats("assembly_floats_fused").unwrap_or(u64::MAX);
+        let unfused = floats("assembly_floats_unfused").unwrap_or(0);
         if fused >= unfused {
-            eprintln!("FAIL: fused tape holds {fused} activation floats, unfused {unfused}");
+            eprintln!("FAIL: fused assembly holds {fused} activation floats, unfused {unfused}");
             std::process::exit(1);
         }
     }

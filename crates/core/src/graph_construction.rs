@@ -4,65 +4,24 @@
 //! be recovered downstream.
 //!
 //! The heavy lifting lives in the pooled [`GraphConstructor`]: it holds
-//! a reusable [`trkx_graph::GraphIndex`] (grid FRNN, kd-tree, or brute
-//! backend — bit-identical edge lists, see `trkx_graph::radius`) plus
-//! the edge/key scratch buffers, so per-event construction in a serving
-//! loop allocates nothing once warm. Truth labelling is a sorted-merge
-//! join over packed `(src << 32) | dst` keys instead of per-edge hash
-//! probes. The free functions below are thin compatibility wrappers
+//! a reusable [`trkx_graph::GraphIndex`] (the cell-grid FRNN engine,
+//! bit-identical to the brute-force oracle, see `trkx_graph::radius`)
+//! plus the edge/key scratch buffers, so per-event construction in a
+//! serving loop allocates nothing once warm. Truth labelling is a
+//! sorted-merge join over packed `(src << 32) | dst` keys instead of
+//! per-edge hash probes. The free functions below are thin wrappers
 //! that build a throwaway constructor.
 
 use trkx_detector::Event;
-use trkx_graph::{Backend, GraphIndex};
+use trkx_graph::GraphIndex;
 use trkx_tensor::Matrix;
 
-/// How stage 2 connects hits in embedding space. The acorn pipeline
-/// supports both: fixed-radius (the paper's description) and kNN.
+/// How stage 2 connects hits in embedding space: fixed-radius, the
+/// paper's description.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum ConstructionMethod {
     /// Connect pairs within `radius`.
     FixedRadius { radius: f32 },
-    /// Connect each hit to its `k` nearest neighbours.
-    Knn { k: usize },
-}
-
-/// Which spatial index routes stage-2 candidate generation. All
-/// backends produce bit-identical edge lists (the exact distance
-/// predicate is shared); this is purely a performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum ConstructionBackend {
-    /// Uniform cell grid on the first ≤3 embedding axes (FRNN).
-    #[default]
-    Grid,
-    /// Median-partitioned kd-tree over all axes.
-    Kd,
-    /// Exhaustive O(n²) scan (reference / tiny events).
-    Brute,
-}
-
-impl ConstructionBackend {
-    fn as_graph_backend(self) -> Backend {
-        match self {
-            ConstructionBackend::Grid => Backend::Grid,
-            ConstructionBackend::Kd => Backend::Kd,
-            ConstructionBackend::Brute => Backend::Brute,
-        }
-    }
-}
-
-impl std::str::FromStr for ConstructionBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "grid" => Ok(Self::Grid),
-            "kd" => Ok(Self::Kd),
-            "brute" => Ok(Self::Brute),
-            other => Err(format!(
-                "unknown construction backend '{other}' (expected grid|kd|brute)"
-            )),
-        }
-    }
 }
 
 /// A constructed candidate-edge graph with truth labels and construction
@@ -107,29 +66,8 @@ pub struct GraphConstructor {
 }
 
 impl GraphConstructor {
-    pub fn new(backend: ConstructionBackend) -> Self {
-        Self {
-            index: GraphIndex::new(backend.as_graph_backend()),
-            ..Self::default()
-        }
-    }
-
-    pub fn backend(&self) -> ConstructionBackend {
-        match self.index.backend() {
-            Backend::Grid => ConstructionBackend::Grid,
-            Backend::Kd => ConstructionBackend::Kd,
-            Backend::Brute => ConstructionBackend::Brute,
-        }
-    }
-
-    /// Switch routing backends; takes effect on the next event.
-    pub fn set_backend(&mut self, backend: ConstructionBackend) {
-        self.index.set_backend(backend.as_graph_backend());
-    }
-
     /// Stage 2 for one event: candidate edges (oriented inner→outer by
-    /// layer, same-layer pairs dropped — a particle crosses each barrel
-    /// layer once) with merge-joined truth labels.
+    /// layer, same-layer pairs dropped) with merge-joined truth labels.
     pub fn construct(
         &mut self,
         event: &Event,
@@ -137,64 +75,30 @@ impl GraphConstructor {
         method: ConstructionMethod,
     ) -> ConstructedGraph {
         assert_eq!(embeddings.rows(), event.num_hits(), "one embedding per hit");
-        let dim = embeddings.cols();
-        match method {
-            ConstructionMethod::FixedRadius { radius } => {
-                self.index.rebuild(embeddings.data(), dim, radius);
-                self.index.radius_edges_into(radius, &mut self.edges);
-            }
-            ConstructionMethod::Knn { k } => {
-                self.index.rebuild(embeddings.data(), dim, 0.0);
-                self.index.knn_edges_into(k, &mut self.edges);
-            }
-        }
+        let ConstructionMethod::FixedRadius { radius } = method;
+        self.index
+            .rebuild(embeddings.data(), embeddings.cols(), radius);
+        self.index.radius_edges_into(radius, &mut self.edges);
         self.load_truth(event);
 
-        // Orient candidates by layer.
-        let mut src = Vec::with_capacity(self.edges.len());
-        let mut dst = Vec::with_capacity(self.edges.len());
-        for &(a, b) in &self.edges {
-            let (la, lb) = (event.hits[a as usize].layer, event.hits[b as usize].layer);
-            let (s, d) = match la.cmp(&lb) {
-                std::cmp::Ordering::Less => (a, b),
-                std::cmp::Ordering::Greater => (b, a),
-                std::cmp::Ordering::Equal => continue,
-            };
-            src.push(s);
-            dst.push(d);
-        }
-
-        // Label by sorted-merge join of packed keys against the truth.
-        let mut labels = vec![0.0f32; src.len()];
-        self.keys.clear();
-        self.keys.extend(
-            src.iter()
-                .zip(&dst)
-                .enumerate()
-                .map(|(i, (&s, &d))| (pack(s, d), i as u32)),
-        );
-        self.keys.sort_unstable();
-        let mut found = 0usize;
-        let mut t = 0usize;
-        for &(key, idx) in &self.keys {
-            while t < self.truth_keys.len() && self.truth_keys[t] < key {
-                t += 1;
+        let n = self.edges.len();
+        let (mut src, mut dst, mut labels) = (vec![0u32; n], vec![0u32; n], vec![0.0f32; n]);
+        let (m, found) = self.orient_and_join(event, |i, key, truth| {
+            src[i] = (key >> 32) as u32;
+            dst[i] = key as u32;
+            if truth {
+                labels[i] = 1.0;
             }
-            if t < self.truth_keys.len() && self.truth_keys[t] == key {
-                labels[idx as usize] = 1.0;
-                found += 1;
-            }
-        }
+        });
+        src.truncate(m);
+        dst.truncate(m);
+        labels.truncate(m);
         let edge_efficiency = if self.truth_keys.is_empty() {
             1.0
         } else {
             found as f64 / self.truth_keys.len() as f64
         };
-        let edge_purity = if labels.is_empty() {
-            1.0
-        } else {
-            found as f64 / labels.len() as f64
-        };
+        let edge_purity = if m == 0 { 1.0 } else { found as f64 / m as f64 };
         ConstructedGraph {
             src,
             dst,
@@ -227,7 +131,12 @@ impl GraphConstructor {
         for _ in 0..20 {
             let mid = 0.5 * (lo + hi);
             self.index.radius_edges_into(mid, &mut self.edges);
-            let eff = self.efficiency_of_edges(event);
+            let eff = if self.truth_keys.is_empty() {
+                1.0
+            } else {
+                let (_, found) = self.orient_and_join(event, |_, _, _| {});
+                found as f64 / self.truth_keys.len() as f64
+            };
             if eff < target_efficiency {
                 lo = mid;
             } else {
@@ -246,12 +155,17 @@ impl GraphConstructor {
         self.truth_keys.dedup();
     }
 
-    /// Count-only efficiency of `self.edges` against the loaded truth
-    /// (orientation + merge join, no label vector).
-    fn efficiency_of_edges(&mut self, event: &Event) -> f64 {
-        if self.truth_keys.is_empty() {
-            return 1.0;
-        }
+    /// Orient `self.edges` inner→outer by layer (same-layer pairs are
+    /// dropped — a particle crosses each barrel layer once), then
+    /// sorted-merge join the packed keys against the loaded truth.
+    /// `visit(i, key, is_truth)` sees every oriented candidate `i`
+    /// (numbered in edge order, visited in key order). Returns
+    /// `(candidates, truth matches)`.
+    fn orient_and_join(
+        &mut self,
+        event: &Event,
+        mut visit: impl FnMut(usize, u64, bool),
+    ) -> (usize, usize) {
         self.keys.clear();
         for &(a, b) in &self.edges {
             let (la, lb) = (event.hits[a as usize].layer, event.hits[b as usize].layer);
@@ -260,20 +174,20 @@ impl GraphConstructor {
                 std::cmp::Ordering::Greater => pack(b, a),
                 std::cmp::Ordering::Equal => continue,
             };
-            self.keys.push((key, 0));
+            self.keys.push((key, self.keys.len() as u32));
         }
         self.keys.sort_unstable();
         let mut found = 0usize;
         let mut t = 0usize;
-        for &(key, _) in &self.keys {
+        for &(key, i) in &self.keys {
             while t < self.truth_keys.len() && self.truth_keys[t] < key {
                 t += 1;
             }
-            if t < self.truth_keys.len() && self.truth_keys[t] == key {
-                found += 1;
-            }
+            let truth = t < self.truth_keys.len() && self.truth_keys[t] == key;
+            found += usize::from(truth);
+            visit(i as usize, key, truth);
         }
-        found as f64 / self.truth_keys.len() as f64
+        (self.keys.len(), found)
     }
 }
 
@@ -285,20 +199,11 @@ pub fn build_graph_from_embeddings(
     embeddings: &Matrix,
     radius: f32,
 ) -> ConstructedGraph {
-    build_graph_with_method(
+    GraphConstructor::default().construct(
         event,
         embeddings,
         ConstructionMethod::FixedRadius { radius },
     )
-}
-
-/// Stage 2 with an explicit construction method (radius or kNN).
-pub fn build_graph_with_method(
-    event: &Event,
-    embeddings: &Matrix,
-    method: ConstructionMethod,
-) -> ConstructedGraph {
-    GraphConstructor::default().construct(event, embeddings, method)
 }
 
 /// Choose the smallest radius achieving at least `target_efficiency`
@@ -316,7 +221,9 @@ pub fn tune_radius(
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use std::collections::HashSet;
     use trkx_detector::{simulate_event, DetectorGeometry, GunConfig};
+    use trkx_graph::radius_graph_brute;
 
     fn event(seed: u64) -> Event {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -376,49 +283,16 @@ mod tests {
     fn radius_monotonically_increases_efficiency() {
         let ev = event(3);
         // Random-ish embedding from hit coordinates.
-        let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-            let h = &ev.hits[r];
-            [h.x, h.y, h.z][c]
-        });
+        let emb = hit_embedding(&ev);
         let e_small = build_graph_from_embeddings(&ev, &emb, 0.05).edge_efficiency;
         let e_large = build_graph_from_embeddings(&ev, &emb, 0.5).edge_efficiency;
         assert!(e_large >= e_small);
     }
 
     #[test]
-    fn knn_method_bounds_degree() {
-        let ev = event(5);
-        let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-            let h = &ev.hits[r];
-            [h.x, h.y, h.z][c]
-        });
-        let g = build_graph_with_method(&ev, &emb, ConstructionMethod::Knn { k: 3 });
-        // Undirected candidate count bounded by n*k (each vertex proposes
-        // at most k pairs, some same-layer pairs dropped).
-        assert!(g.num_edges() <= ev.num_hits() * 3);
-        assert!(g.num_edges() > 0);
-        for (&s, &d) in g.src.iter().zip(&g.dst) {
-            assert!(ev.hits[s as usize].layer < ev.hits[d as usize].layer);
-        }
-    }
-
-    #[test]
-    fn knn_and_radius_agree_on_oracle_embedding() {
-        // With the oracle embedding (same-particle hits coincide), both
-        // methods recover every truth edge.
-        let ev = event(6);
-        let emb = oracle_embedding(&ev);
-        let knn = build_graph_with_method(&ev, &emb, ConstructionMethod::Knn { k: 12 });
-        assert_eq!(knn.edge_efficiency, 1.0, "kNN missed truth edges");
-    }
-
-    #[test]
     fn tune_radius_hits_target() {
         let ev = event(4);
-        let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-            let h = &ev.hits[r];
-            [h.x, h.y, h.z][c]
-        });
+        let emb = hit_embedding(&ev);
         let r = tune_radius(&ev, &emb, 0.9, 2.0);
         let g = build_graph_from_embeddings(&ev, &emb, r);
         assert!(
@@ -428,20 +302,58 @@ mod tests {
         );
     }
 
-    #[test]
-    fn all_backends_construct_identical_graphs() {
-        let ev = event(7);
-        let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
+    /// Oracle for [`GraphConstructor::construct`]: brute-force radius
+    /// edges, oriented by layer, labelled by hash-set lookup.
+    fn oracle_graph(ev: &Event, emb: &Matrix, radius: f32) -> ConstructedGraph {
+        let truth: HashSet<(u32, u32)> = ev.truth_edges().into_iter().collect();
+        let (mut src, mut dst, mut labels) = (Vec::new(), Vec::new(), Vec::new());
+        for (a, b) in radius_graph_brute(emb.data(), emb.cols(), radius) {
+            let (la, lb) = (ev.hits[a as usize].layer, ev.hits[b as usize].layer);
+            let (s, d) = match la.cmp(&lb) {
+                std::cmp::Ordering::Less => (a, b),
+                std::cmp::Ordering::Greater => (b, a),
+                std::cmp::Ordering::Equal => continue,
+            };
+            src.push(s);
+            dst.push(d);
+            labels.push(if truth.contains(&(s, d)) { 1.0 } else { 0.0 });
+        }
+        let found = labels.iter().filter(|&&l| l == 1.0).count() as f64;
+        ConstructedGraph {
+            edge_efficiency: if truth.is_empty() {
+                1.0
+            } else {
+                found / truth.len() as f64
+            },
+            edge_purity: if labels.is_empty() {
+                1.0
+            } else {
+                found / labels.len() as f64
+            },
+            src,
+            dst,
+            labels,
+        }
+    }
+
+    fn hit_embedding(ev: &Event) -> Matrix {
+        Matrix::from_fn(ev.num_hits(), 3, |r, c| {
             let h = &ev.hits[r];
             [h.x, h.y, h.z][c]
-        });
-        let method = ConstructionMethod::FixedRadius { radius: 0.3 };
-        let want = GraphConstructor::new(ConstructionBackend::Brute).construct(&ev, &emb, method);
-        for backend in [ConstructionBackend::Grid, ConstructionBackend::Kd] {
-            let got = GraphConstructor::new(backend).construct(&ev, &emb, method);
-            assert_eq!(got.src, want.src, "{backend:?}");
-            assert_eq!(got.dst, want.dst, "{backend:?}");
-            assert_eq!(got.labels, want.labels, "{backend:?}");
+        })
+    }
+
+    #[test]
+    fn constructor_matches_brute_oracle() {
+        let mut pooled = GraphConstructor::default();
+        for seed in [7, 8] {
+            let ev = event(seed);
+            let emb = hit_embedding(&ev);
+            let want = oracle_graph(&ev, &emb, 0.3);
+            let got = pooled.construct(&ev, &emb, ConstructionMethod::FixedRadius { radius: 0.3 });
+            assert_eq!(got.src, want.src, "seed {seed}");
+            assert_eq!(got.dst, want.dst, "seed {seed}");
+            assert_eq!(got.labels, want.labels, "seed {seed}");
             assert_eq!(got.edge_efficiency, want.edge_efficiency);
             assert_eq!(got.edge_purity, want.edge_purity);
         }
@@ -452,10 +364,7 @@ mod tests {
         let mut pooled = GraphConstructor::default();
         for seed in 10..14 {
             let ev = event(seed);
-            let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-                let h = &ev.hits[r];
-                [h.x, h.y, h.z][c]
-            });
+            let emb = hit_embedding(&ev);
             let a = pooled.construct(&ev, &emb, ConstructionMethod::FixedRadius { radius: 0.25 });
             let b = build_graph_from_embeddings(&ev, &emb, 0.25);
             assert_eq!(a.src, b.src, "seed {seed}");
@@ -465,37 +374,26 @@ mod tests {
     }
 
     #[test]
-    fn pooled_tune_radius_matches_throwaway() {
+    fn pooled_tune_radius_matches_throwaway_and_oracle() {
         let ev = event(4);
-        let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-            let h = &ev.hits[r];
-            [h.x, h.y, h.z][c]
-        });
+        let emb = hit_embedding(&ev);
         let fresh = tune_radius(&ev, &emb, 0.9, 2.0);
-        for backend in [
-            ConstructionBackend::Grid,
-            ConstructionBackend::Kd,
-            ConstructionBackend::Brute,
-        ] {
-            let mut ctor = GraphConstructor::new(backend);
-            assert_eq!(ctor.tune_radius(&ev, &emb, 0.9, 2.0), fresh, "{backend:?}");
+        // A constructor pooled across an earlier event bisects to the
+        // same radius bit for bit.
+        let mut pooled = GraphConstructor::default();
+        let other = event(5);
+        pooled.tune_radius(&other, &hit_embedding(&other), 0.9, 2.0);
+        assert_eq!(pooled.tune_radius(&ev, &emb, 0.9, 2.0), fresh);
+        // The same bisection over the brute-force oracle graph.
+        let (mut lo, mut hi) = (1e-4f32, 2.0f32);
+        for _ in 0..20 {
+            let mid = 0.5 * (lo + hi);
+            if oracle_graph(&ev, &emb, mid).edge_efficiency < 0.9 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
         }
-    }
-
-    #[test]
-    fn backend_parses_from_str() {
-        assert_eq!(
-            "grid".parse::<ConstructionBackend>().unwrap(),
-            ConstructionBackend::Grid
-        );
-        assert_eq!(
-            "kd".parse::<ConstructionBackend>().unwrap(),
-            ConstructionBackend::Kd
-        );
-        assert_eq!(
-            "brute".parse::<ConstructionBackend>().unwrap(),
-            ConstructionBackend::Brute
-        );
-        assert!("flann".parse::<ConstructionBackend>().is_err());
+        assert_eq!(fresh, hi);
     }
 }

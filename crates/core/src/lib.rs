@@ -42,8 +42,8 @@ pub use gnn_stage::{
     train_minibatch_opts, GnnTrainConfig, HookFactory, PreparedGraph, SamplerKind, TrainResult,
 };
 pub use graph_construction::{
-    build_graph_from_embeddings, build_graph_with_method, tune_radius, ConstructedGraph,
-    ConstructionBackend, ConstructionMethod, GraphConstructor,
+    build_graph_from_embeddings, tune_radius, ConstructedGraph, ConstructionMethod,
+    GraphConstructor,
 };
 pub use metrics::{match_tracks, EdgeMetrics, TrackMetrics};
 pub use pipeline::{

@@ -7,7 +7,7 @@ use crate::filter::{FilterConfig, FilterStage};
 use crate::gnn_stage::{
     infer_logits_with, prepare_graphs, train_minibatch, GnnTrainConfig, PreparedGraph, SamplerKind,
 };
-use crate::graph_construction::{ConstructionBackend, ConstructionMethod, GraphConstructor};
+use crate::graph_construction::{ConstructionMethod, GraphConstructor};
 use crate::metrics::TrackMetrics;
 use crate::tracks::{build_tracks, TrackBuildResult};
 use trkx_ddp::DdpConfig;
@@ -25,12 +25,6 @@ pub struct PipelineConfig {
     /// Truth-edge efficiency the radius graph must reach.
     pub target_construction_efficiency: f64,
     pub max_radius: f32,
-    /// Spatial-index backend for stage-2 candidate generation. Every
-    /// backend yields bit-identical edge lists; this only trades build
-    /// against query cost (defaults to the grid FRNN index; absent in
-    /// older bundles).
-    #[serde(default)]
-    pub construct_backend: ConstructionBackend,
     pub filter: FilterConfig,
     pub gnn: GnnTrainConfig,
     pub gnn_sampler: SamplerKind,
@@ -49,7 +43,6 @@ impl Default for PipelineConfig {
             embedding: EmbeddingConfig::default(),
             target_construction_efficiency: 0.96,
             max_radius: 3.0,
-            construct_backend: ConstructionBackend::default(),
             filter: FilterConfig::default(),
             gnn: GnnTrainConfig::default(),
             gnn_sampler: SamplerKind::Bulk { k: 4 },
@@ -134,7 +127,7 @@ pub fn train_pipeline(
     // Stage 2: radius tuned on the first training event, then one pooled
     // constructor builds every training/validation graph (index and
     // scratch buffers are rebuilt per event, not reallocated).
-    let mut ctor = GraphConstructor::new(config.construct_backend);
+    let mut ctor = GraphConstructor::default();
     let radius = ctor.tune_radius(
         &train_events[0],
         &embedding.embed_with(&mut tape, &mut bind, &feats[0]),
@@ -358,13 +351,12 @@ impl TrainedPipeline {
         self.reconstruct_batch_pooled(tape, bind, &mut ctor, events)
     }
 
-    /// A stage-2 constructor configured for this pipeline's backend.
-    /// Long-lived callers (serve workers, batch reconstruction loops)
+    /// A fresh pooled stage-2 constructor. Long-lived callers (serve workers, batch reconstruction loops)
     /// hold one and pass it to
     /// [`TrainedPipeline::reconstruct_batch_pooled`] so the spatial
     /// index and edge scratch persist across micro-batches.
     pub fn new_constructor(&self) -> GraphConstructor {
-        GraphConstructor::new(self.config.construct_backend)
+        GraphConstructor::default()
     }
 
     /// [`TrainedPipeline::reconstruct_batch_with`] against a

@@ -8,26 +8,23 @@
 //!
 //! Binning is a pure routing structure — it only decides *which* points
 //! get distance-tested, never the test itself — so grid query results
-//! are exactly the kd-tree / brute-force results (the distance predicate
-//! is the shared [`sq_dist`](crate::kdtree) with its pinned operation
-//! order). NaN coordinates bin to cell 0 and never pass the distance
-//! test, so degenerate embeddings cannot panic or connect.
+//! are exactly the brute-force results (the distance predicate is
+//! `sq_dist` with its pinned operation order). NaN coordinates bin to
+//! cell 0 and never pass the distance test, so degenerate embeddings
+//! cannot panic or connect.
 
-use crate::kdtree::sq_dist;
-
-/// Per-axis resolution cap (cells per binned axis). Override with
-/// `TRKX_GRID_CELLS`; with 3 binned axes the worst case is `cap³`
-/// offset slots, so the default 64 tops out at ~1 MiB of offsets.
-fn max_cells_per_axis() -> usize {
-    static V: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *V.get_or_init(|| {
-        std::env::var("TRKX_GRID_CELLS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(64)
-    })
+/// Squared Euclidean distance, accumulated in ascending coordinate
+/// order. The grid engine and the brute-force oracle
+/// ([`radius_graph_brute`](crate::radius_graph_brute)) must use this
+/// exact operation order so their edge predicates agree bit for bit.
+#[inline]
+pub(crate) fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
+
+/// Per-axis resolution cap (cells per binned axis). With 3 binned axes
+/// the worst case is `64³` offset slots, ~1 MiB of offsets.
+const MAX_CELLS_PER_AXIS: usize = 64;
 
 /// How many leading coordinates to bin on (the embedding's first
 /// "principal" axes); full-dimension distances are always exact.
@@ -56,7 +53,7 @@ pub struct GridIndex {
 
 impl GridIndex {
     /// Build a grid sized so cells are at least `cell` wide on each
-    /// binned axis (clamped to the `TRKX_GRID_CELLS` per-axis cap).
+    /// binned axis (clamped to the per-axis cap of 64 cells).
     pub fn build(points: &[f32], dim: usize, cell: f32) -> Self {
         let mut g = Self::default();
         g.rebuild(points, dim, cell);
@@ -85,7 +82,6 @@ impl GridIndex {
                 }
             }
         }
-        let cap = max_cells_per_axis();
         let cell = if cell.is_finite() && cell > 0.0 {
             cell
         } else {
@@ -101,9 +97,9 @@ impl GridIndex {
             self.mins[a] = if mins[a].is_finite() { mins[a] } else { 0.0 };
             let cells = if extent > 0.0 {
                 if cell > 0.0 {
-                    ((extent / cell).ceil() as usize).clamp(1, cap)
+                    ((extent / cell).ceil() as usize).clamp(1, MAX_CELLS_PER_AXIS)
                 } else {
-                    cap
+                    MAX_CELLS_PER_AXIS
                 }
             } else {
                 1

@@ -194,8 +194,9 @@ impl InteractionGnn {
     /// `GatherConcat` node assembles each layer's edge-MLP input in a
     /// single pass (no `X'[src]`/`X'[dst]` intermediates on the tape) and
     /// the AGG scatters run the deterministic parallel segment-reduce.
-    /// Bit-identical to [`InteractionGnn::forward_unfused`] in both
-    /// values and gradients, at any thread count.
+    /// Bit-identical to the unfused reference (explicit per-endpoint
+    /// gathers, kept in this module's tests) in both values and
+    /// gradients, at any thread count.
     pub fn forward_planned(
         &self,
         tape: &mut Tape,
@@ -227,50 +228,6 @@ impl InteractionGnn {
                     tape.scatter_add_planned(y_next, plans.src.clone(), plans.src_plan.clone());
                 let m_dst =
                     tape.scatter_add_planned(y_next, plans.dst.clone(), plans.dst_plan.clone());
-                let node_in = tape.concat_cols(&[m_src, m_dst, x_cat]);
-                xl = self.node_mlps[l].forward(tape, bind, node_in);
-            }
-        }
-        self.decoder.forward(tape, bind, yl)
-    }
-
-    /// Unfused reference forward pass: explicit per-endpoint gathers and
-    /// a three-way concat, serial scatter on the backward. Kept as the
-    /// ground truth the fused path is parity-tested against.
-    pub fn forward_unfused(
-        &self,
-        tape: &mut Tape,
-        bind: &mut Bindings,
-        x: &Matrix,
-        y: &Matrix,
-        src: Arc<Vec<u32>>,
-        dst: Arc<Vec<u32>>,
-    ) -> Var {
-        let n = x.rows();
-        self.check_inputs(x, y, src.len());
-        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
-
-        let xin = tape.constant_copied(x);
-        let yin = tape.constant_copied(y);
-        let x0 = self.node_encoder.forward(tape, bind, xin);
-        let y0 = self.edge_encoder.forward(tape, bind, yin);
-        let mut xl = x0;
-        let mut yl = y0;
-        for l in 0..self.config.gnn_layers {
-            // Skip-connections to the input encodings.
-            let x_cat = tape.concat_cols(&[xl, x0]);
-            let y_cat = tape.concat_cols(&[yl, y0]);
-            // MSG: gather endpoint features per edge, concat with the edge
-            // state, and run the per-edge MLP.
-            let x_src = tape.gather(x_cat, src.clone());
-            let x_dst = tape.gather(x_cat, dst.clone());
-            let msg_in = tape.concat_cols(&[y_cat, x_src, x_dst]);
-            let y_next = self.edge_mlps[l].forward(tape, bind, msg_in);
-            yl = y_next;
-            if l + 1 < self.config.gnn_layers {
-                // AGG: sum messages into both endpoints.
-                let m_src = tape.scatter_add(y_next, src.clone(), n);
-                let m_dst = tape.scatter_add(y_next, dst.clone(), n);
                 let node_in = tape.concat_cols(&[m_src, m_dst, x_cat]);
                 xl = self.node_mlps[l].forward(tape, bind, node_in);
             }
@@ -334,6 +291,50 @@ impl InteractionGnn {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// Unfused reference forward pass: explicit per-endpoint gathers and
+    /// a three-way concat, serial scatter on the backward. The ground
+    /// truth the fused path is parity-tested against.
+    fn forward_unfused(
+        model: &InteractionGnn,
+        tape: &mut Tape,
+        bind: &mut Bindings,
+        x: &Matrix,
+        y: &Matrix,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+    ) -> Var {
+        let n = x.rows();
+        model.check_inputs(x, y, src.len());
+        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
+
+        let xin = tape.constant_copied(x);
+        let yin = tape.constant_copied(y);
+        let x0 = model.node_encoder.forward(tape, bind, xin);
+        let y0 = model.edge_encoder.forward(tape, bind, yin);
+        let mut xl = x0;
+        let mut yl = y0;
+        for l in 0..model.config.gnn_layers {
+            // Skip-connections to the input encodings.
+            let x_cat = tape.concat_cols(&[xl, x0]);
+            let y_cat = tape.concat_cols(&[yl, y0]);
+            // MSG: gather endpoint features per edge, concat with the edge
+            // state, and run the per-edge MLP.
+            let x_src = tape.gather(x_cat, src.clone());
+            let x_dst = tape.gather(x_cat, dst.clone());
+            let msg_in = tape.concat_cols(&[y_cat, x_src, x_dst]);
+            let y_next = model.edge_mlps[l].forward(tape, bind, msg_in);
+            yl = y_next;
+            if l + 1 < model.config.gnn_layers {
+                // AGG: sum messages into both endpoints.
+                let m_src = tape.scatter_add(y_next, src.clone(), n);
+                let m_dst = tape.scatter_add(y_next, dst.clone(), n);
+                let node_in = tape.concat_cols(&[m_src, m_dst, x_cat]);
+                xl = model.node_mlps[l].forward(tape, bind, node_in);
+            }
+        }
+        model.decoder.forward(tape, bind, yl)
+    }
 
     fn tiny_config() -> IgnnConfig {
         IgnnConfig::new(3, 2)
@@ -472,7 +473,7 @@ mod tests {
             let logits = if fused {
                 model.forward(&mut tape, &mut bind, &x, &y, src, dst)
             } else {
-                model.forward_unfused(&mut tape, &mut bind, &x, &y, src, dst)
+                forward_unfused(&model, &mut tape, &mut bind, &x, &y, src, dst)
             };
             let loss = trkx_nn::bce_with_logits(&mut tape, logits, &targets, 1.0);
             tape.backward(loss);
@@ -509,7 +510,7 @@ mod tests {
             let _ = if fused {
                 model.forward(&mut tape, &mut bind, &x, &y, src, dst)
             } else {
-                model.forward_unfused(&mut tape, &mut bind, &x, &y, src, dst)
+                forward_unfused(&model, &mut tape, &mut bind, &x, &y, src, dst)
             };
             tape.activation_floats()
         };

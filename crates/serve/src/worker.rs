@@ -130,9 +130,6 @@ fn worker_loop(queue: &RequestQueue, registry: &ModelRegistry, stats: &ServeStat
         let events: Vec<&trkx_detector::Event> = batch.iter().map(|job| &job.event).collect();
         let batch_events = events.len();
         let ctor = ctor.get_or_insert_with(|| model.pipeline.new_constructor());
-        // A model swap may change the configured backend; the pooled
-        // buffers survive the switch.
-        ctor.set_backend(model.pipeline.config.construct_backend);
         let (results, timings) = model
             .pipeline
             .reconstruct_batch_pooled(&mut tape, &mut bind, ctor, &events);

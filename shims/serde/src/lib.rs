@@ -258,8 +258,16 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
+            /// Non-negative values take the `U64` form, as upstream
+            /// `serde_json::Number` does, so a value equals its own
+            /// parsed-back JSON (the parser reads `1` as `U64`).
             fn to_content(&self) -> Content {
-                Content::I64(*self as i64)
+                let v = *self as i64;
+                if v >= 0 {
+                    Content::U64(v as u64)
+                } else {
+                    Content::I64(v)
+                }
             }
         }
         impl Deserialize for $t {

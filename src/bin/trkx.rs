@@ -12,7 +12,6 @@
 //! trkx evaluate  --model model.json [--dataset ex3|ctd] [--scale 0.05] [--events 10]
 //! trkx reconstruct [--particles 40] [--events 8] [--seed 7]
 //!                [--hidden 32] [--layers 4] [--embed-epochs 15]
-//!                [--construct-backend grid|kd|brute]
 //!                [--out pipeline.json]
 //! trkx serve     --model pipeline.json [--tcp 127.0.0.1:9090]
 //!                [--workers 2] [--max-queue 128] [--max-event-hits 50000]
@@ -348,14 +347,6 @@ fn cmd_evaluate(args: &[String]) {
 }
 
 fn cmd_reconstruct(args: &[String]) {
-    // Stage-2 spatial index: grid (default), kd, or brute. All three
-    // emit bit-identical edge lists; this only picks the fastest.
-    let construct_backend = arg_str(args, "--construct-backend", "grid")
-        .parse::<trkx::pipeline::ConstructionBackend>()
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
     let particles = arg(args, "--particles", 40usize);
     let events = arg(args, "--events", 8usize);
     let seed = arg(args, "--seed", 7u64);
@@ -384,7 +375,6 @@ fn cmd_reconstruct(args: &[String]) {
             },
             ..Default::default()
         },
-        construct_backend,
         ..Default::default()
     };
     println!("training the five-stage pipeline on {events} events...");

@@ -62,10 +62,10 @@ fn dataset_cache_returns_identical_graphs() {
     let _ = std::fs::remove_file(path);
 }
 
-#[test]
-fn trained_pipeline_bundle_roundtrip() {
+/// A small trained pipeline plus one fresh event to reconstruct.
+fn tiny_trained_pipeline() -> (trkx::pipeline::TrainedPipeline, trkx::detector::Event) {
     use trkx::detector::{simulate_event, DetectorGeometry, GunConfig};
-    use trkx::pipeline::{train_pipeline, EmbeddingConfig, PipelineConfig, TrainedPipeline};
+    use trkx::pipeline::{train_pipeline, EmbeddingConfig, PipelineConfig};
     use trkx::sampling::ShadowConfig;
 
     let geometry = DetectorGeometry::default();
@@ -93,8 +93,15 @@ fn trained_pipeline_bundle_roundtrip() {
         ..Default::default()
     };
     let (pipeline, _) = train_pipeline(config, &events[..3], &events[3..]);
-
     let test_event = simulate_event(&geometry, &gun, 15, 0.1, &mut rng);
+    (pipeline, test_event)
+}
+
+#[test]
+fn trained_pipeline_bundle_roundtrip() {
+    use trkx::pipeline::TrainedPipeline;
+
+    let (pipeline, test_event) = tiny_trained_pipeline();
     let before = pipeline.reconstruct(&test_event);
 
     let path = std::env::temp_dir().join(format!("trkx_it_pipe_{}.json", std::process::id()));
@@ -106,6 +113,41 @@ fn trained_pipeline_bundle_roundtrip() {
     assert_eq!(before.metrics, after.metrics);
     assert_eq!(restored.radius, pipeline.radius);
     let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn bundle_with_legacy_construct_backend_key_still_loads() {
+    use trkx::pipeline::TrainedPipeline;
+
+    // Older bundles carry the stage-2 backend choice, which no longer
+    // exists; every backend built the same edges, so such a bundle must
+    // load and reconstruct exactly as the same bundle without the key.
+    let (pipeline, test_event) = tiny_trained_pipeline();
+    let dir = std::env::temp_dir();
+    let plain = dir.join(format!("trkx_it_plain_{}.json", std::process::id()));
+    let legacy = dir.join(format!("trkx_it_legacy_{}.json", std::process::id()));
+    pipeline.save_json(&plain).unwrap();
+    let json = std::fs::read_to_string(&plain).unwrap();
+    assert!(
+        json.starts_with("{\"config\":{"),
+        "unexpected bundle layout"
+    );
+    let injected = json.replacen(
+        "{\"config\":{",
+        "{\"config\":{\"construct_backend\":\"kd\",",
+        1,
+    );
+    std::fs::write(&legacy, injected).unwrap();
+
+    let a = TrainedPipeline::load_json(&plain).unwrap();
+    let b = TrainedPipeline::load_json(&legacy).unwrap();
+    let (ra, rb) = (a.reconstruct(&test_event), b.reconstruct(&test_event));
+    assert_eq!(ra.component_of_hit, rb.component_of_hit);
+    assert_eq!(ra.edges_kept, rb.edges_kept);
+    assert_eq!(ra.metrics, rb.metrics);
+    assert_eq!(a.radius.to_bits(), b.radius.to_bits());
+    let _ = std::fs::remove_file(plain);
+    let _ = std::fs::remove_file(legacy);
 }
 
 #[test]
