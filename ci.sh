@@ -11,6 +11,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --workspace --release
 cargo test -q --workspace --release
 
+# The benchmark package (benchmark/, its own cargo workspace) drives the
+# crates through their public API: building and testing it here makes a
+# change that breaks that API fail CI instead of the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Allocation gate: the pooled-tape train step must stay at or below the
 # recorded budget (BENCH_trainstep.json baseline is 70 allocs/step with
 # the fused message-passing path, the blocked GEMM's pooled packing
@@ -38,8 +44,10 @@ RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --test matmul_blocked
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test matmul_blocked
 
 # Zero-alloc steady state for the pool executor and the GEMM kernels at
-# a multi-thread pool size.
+# a single- and a multi-thread pool size.
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --test alloc_probe
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test alloc_probe
+(cd shims/rayon && RAYON_NUM_THREADS=1 cargo test -q --release --test alloc_probe)
 (cd shims/rayon && RAYON_NUM_THREADS=4 cargo test -q --release --test alloc_probe)
 
 # Prefetch gate: on a tiny Ex3-like workload the overlapped (prefetching)
@@ -60,6 +68,7 @@ RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test train_harness
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_harness
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --test grad_ready
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test grad_ready
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-ddp --test alloc_probe
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-ddp --test alloc_probe
 
 # Comm-overlap gate: firing each bucket's all-reduce during backward

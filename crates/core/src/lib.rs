@@ -19,7 +19,6 @@
 
 pub mod checkpoint;
 pub mod curves;
-pub mod early_stopping;
 pub mod embedding;
 pub mod filter;
 pub mod gnn_stage;
@@ -33,7 +32,6 @@ pub use checkpoint::{
     Checkpoint, CheckpointError, CheckpointMeta, TensorEntry, CHECKPOINT_META_VERSION,
 };
 pub use curves::{best_f1_threshold, efficiency_vs_pt, roc_auc, threshold_sweep, SweepPoint};
-pub use early_stopping::EarlyStopping;
 pub use embedding::{EmbeddingConfig, EmbeddingStage};
 pub use filter::{FilterConfig, FilterStage};
 pub use gnn_stage::{

@@ -1,8 +1,8 @@
 //! The epoch-loop engine: one [`TrainLoop`] drives every trainable stage
 //! of the pipeline through a [`TrainStep`] (per-stage forward + loss),
 //! centralising the tape/bindings reuse, gradient harvesting, optional
-//! DDP gradient synchronisation, gradient clipping, optimizer stepping,
-//! and grad zeroing that the five trainers used to hand-roll.
+//! DDP gradient synchronisation, optimizer stepping, and grad zeroing
+//! that the five trainers used to hand-roll.
 //!
 //! The split of responsibilities follows the "sampling is a policy inside
 //! a fixed training loop" framing (Serafini & Guan): the engine owns the
@@ -11,17 +11,16 @@
 
 use crate::train::hooks::{Control, Hook, HookCtx};
 use trkx_ddp::{BucketScheduler, CommLink, EpochTiming};
-use trkx_nn::{clip_grad_norm, Bindings, Optimizer, Param};
+use trkx_nn::{Bindings, Optimizer, Param};
 use trkx_tensor::{GradObserver, GradReader, Tape, Var};
 
-/// Pooled step mechanics: owns the reusable [`Tape`]/[`Bindings`] pair,
-/// the optimizer, and the gradient-clipping policy. One `Engine` serves
-/// one model replica (DDP ranks each own one).
+/// Pooled step mechanics: owns the reusable [`Tape`]/[`Bindings`] pair
+/// and the optimizer. One `Engine` serves one model replica (DDP ranks
+/// each own one).
 pub struct Engine {
     tape: Tape,
     bind: Bindings,
     opt: Box<dyn Optimizer>,
-    clip: Option<f32>,
     /// Persistent scratch for [`Engine::backward_comm`]: per-param
     /// outstanding-binding countdown and per-binding param slot. Kept on
     /// the engine so steady-state overlapped steps allocate nothing.
@@ -35,17 +34,9 @@ impl Engine {
             tape: Tape::new(),
             bind: Bindings::new(),
             opt: Box::new(opt),
-            clip: None,
             countdown: Vec::new(),
             pair_slot: Vec::new(),
         }
-    }
-
-    /// Clip the global gradient L2 norm to `max_norm` before each
-    /// optimizer step.
-    pub fn with_clip(mut self, max_norm: f32) -> Self {
-        self.clip = Some(max_norm);
-        self
     }
 
     pub fn opt(&self) -> &dyn Optimizer {
@@ -155,7 +146,7 @@ impl Engine {
     }
 
     /// Finish a step without harvesting: run `sync` (DDP collective or any
-    /// gradient transform), clip, step the optimizer, zero the grads.
+    /// gradient transform), step the optimizer, zero the grads.
     /// `sync` runs unconditionally so that every DDP rank makes the same
     /// number of collective calls even when its shard was empty.
     pub fn apply_with<S>(&mut self, params: &mut [&mut Param], sync: S)
@@ -163,9 +154,6 @@ impl Engine {
         S: FnOnce(&mut [&mut Param]),
     {
         sync(params);
-        if let Some(max_norm) = self.clip {
-            clip_grad_norm(params, max_norm);
-        }
         self.opt.step(params);
         for p in params.iter_mut() {
             p.zero_grad();
@@ -450,11 +438,6 @@ impl TrainLoop {
 
     pub fn with_hooks(mut self, hooks: Vec<Box<dyn Hook>>) -> Self {
         self.hooks.extend(hooks);
-        self
-    }
-
-    pub fn with_clip(mut self, max_norm: f32) -> Self {
-        self.engine = self.engine.with_clip(max_norm);
         self
     }
 

@@ -3,7 +3,6 @@
 //! learning-rate schedules, and structured per-epoch telemetry.
 
 use crate::checkpoint::Checkpoint;
-use crate::early_stopping::EarlyStopping;
 use crate::train::engine::EpochReport;
 use trkx_nn::{LrSchedule, Optimizer, Param, Scheduler};
 
@@ -71,13 +70,19 @@ impl Monitor {
     }
 }
 
-/// Stop training when the monitored metric has not improved for
-/// `patience` consecutive epochs (wraps [`EarlyStopping`]). Epochs whose
-/// report lacks the metric (NaN) are ignored. Must stay **opt-out** for
-/// the Fig. 4 reproduction, which needs full fixed-length loss curves.
+/// Stop training as soon as the monitored metric has gone `patience`
+/// consecutive checked epochs (at least one) without improving by more
+/// than `min_delta`. Epochs whose report lacks the metric (NaN) are
+/// ignored. Must stay **opt-out** for the Fig. 4 reproduction, which
+/// needs full fixed-length loss curves.
 pub struct EarlyStoppingHook {
     monitor: Monitor,
-    inner: EarlyStopping,
+    patience: usize,
+    min_delta: f64,
+    best: f64,
+    best_epoch: usize,
+    checks: usize,
+    stale: usize,
     stopped: bool,
 }
 
@@ -85,7 +90,12 @@ impl EarlyStoppingHook {
     pub fn new(monitor: Monitor, patience: usize, min_delta: f64) -> Self {
         Self {
             monitor,
-            inner: EarlyStopping::new(patience, min_delta),
+            patience,
+            min_delta,
+            best: f64::NEG_INFINITY,
+            best_epoch: 0,
+            checks: 0,
+            stale: 0,
             stopped: false,
         }
     }
@@ -95,12 +105,14 @@ impl EarlyStoppingHook {
         self.stopped
     }
 
+    /// Best value seen so far.
     pub fn best(&self) -> f64 {
-        self.inner.best()
+        self.best
     }
 
+    /// 0-based index of the best value among the checked epochs.
     pub fn best_epoch(&self) -> usize {
-        self.inner.best_epoch()
+        self.best_epoch
     }
 }
 
@@ -110,7 +122,18 @@ impl Hook for EarlyStoppingHook {
         if value.is_nan() {
             return Control::Continue;
         }
-        if self.inner.update(value) {
+        self.checks += 1;
+        if value > self.best + self.min_delta {
+            self.best = value;
+            self.best_epoch = self.checks - 1;
+            self.stale = 0;
+        } else {
+            self.stale += 1;
+        }
+        // `patience` stale checks suffice (a `>` here would tolerate one
+        // extra stale epoch); `max(1)` keeps patience 0 from stopping on
+        // an improving check where `stale` resets to 0.
+        if self.stale >= self.patience.max(1) {
             self.stopped = true;
             Control::Stop
         } else {
@@ -239,5 +262,88 @@ impl Hook for TelemetryHook {
     fn on_epoch_end(&mut self, report: &EpochReport, _ctx: &mut HookCtx) -> Control {
         (self.sink)(report);
         Control::Continue
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trkx_nn::Sgd;
+
+    /// Feed one epoch whose negated training loss is `value` (so the
+    /// hook's higher-is-better metric equals `value`); true on Stop.
+    fn check(hook: &mut EarlyStoppingHook, value: f64) -> bool {
+        let report = EpochReport {
+            epoch: 0,
+            train_loss: -value as f32,
+            val_precision: f64::NAN,
+            val_recall: f64::NAN,
+            steps: 0,
+            lr: 0.0,
+            timing: Default::default(),
+            shard_cache: None,
+        };
+        let mut opt = Sgd::new(0.0);
+        let mut ctx = HookCtx {
+            opt: &mut opt,
+            params: &mut [],
+        };
+        hook.on_epoch_end(&report, &mut ctx) == Control::Stop
+    }
+
+    fn early_stop(patience: usize, min_delta: f64) -> EarlyStoppingHook {
+        EarlyStoppingHook::new(Monitor::NegTrainLoss, patience, min_delta)
+    }
+
+    #[test]
+    fn stops_once_patience_is_reached() {
+        let mut es = early_stop(2, 0.0);
+        assert!(!check(&mut es, 0.5));
+        assert!(!check(&mut es, 0.625)); // improvement
+        assert!(!check(&mut es, 0.5625)); // stale 1
+        assert!(check(&mut es, 0.59375)); // stale 2 == patience 2: stop
+        assert!(es.stopped_early());
+        assert_eq!(es.best(), 0.625);
+        assert_eq!(es.best_epoch(), 1);
+    }
+
+    #[test]
+    fn min_delta_requires_real_improvement() {
+        let mut es = early_stop(1, 0.05);
+        assert!(!check(&mut es, 0.5));
+        assert!(check(&mut es, 0.53125)); // below min_delta: stale 1 == patience 1
+    }
+
+    #[test]
+    fn improvement_resets_the_stale_counter() {
+        let mut es = early_stop(2, 0.0);
+        assert!(!check(&mut es, 0.5));
+        assert!(!check(&mut es, 0.375)); // stale 1
+        assert!(!check(&mut es, 0.625)); // improvement: stale resets
+        assert!(!check(&mut es, 0.5)); // stale 1
+        assert!(check(&mut es, 0.5)); // stale 2
+        assert_eq!(es.best_epoch(), 2);
+    }
+
+    #[test]
+    fn continual_improvement_never_stops() {
+        let mut es = early_stop(0, 0.0);
+        for i in 0..100 {
+            assert!(!check(&mut es, i as f64), "stopped at {i}");
+        }
+        assert!(!es.stopped_early());
+        assert_eq!(es.best_epoch(), 99);
+    }
+
+    #[test]
+    fn epochs_without_the_metric_are_not_checks() {
+        let mut es = EarlyStoppingHook::new(Monitor::ValF1, 1, 0.0);
+        // NaN validation: ignored, so it neither counts as stale nor
+        // shifts the best-epoch index.
+        for _ in 0..3 {
+            assert!(!check(&mut es, 1.0));
+        }
+        assert!(!es.stopped_early());
+        assert_eq!(es.best(), f64::NEG_INFINITY);
     }
 }

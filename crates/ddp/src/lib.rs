@@ -15,6 +15,6 @@ pub mod scheduler;
 pub mod trainer;
 
 pub use allreduce::{run_workers, AllReduceStrategy, AllReducer};
-pub use comm::{CommCostModel, VirtualClock};
+pub use comm::CommCostModel;
 pub use scheduler::{BucketScheduler, CommLink, OverlapStats};
 pub use trainer::{DdpConfig, EpochTiming, Executor};

@@ -5,11 +5,14 @@
 //! gradient sync performs **zero** heap allocations: per-tensor,
 //! bucketed, and coalesced alike, single-rank and multi-rank, and the
 //! overlapped scheduler's fire path too. Pinned with a counting global
-//! allocator (hence its own test binary).
+//! allocator (hence its own test binary). The binary runs without the
+//! libtest harness (`harness = false`): `main` runs the probes one after
+//! another on the main thread, so no runner thread allocates inside a
+//! measured window, while the threads a probe starts itself are counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 use trkx_ddp::{AllReduceStrategy, AllReducer, BucketScheduler, CommCostModel, CommLink};
 use trkx_nn::{BucketLayout, Param};
 use trkx_tensor::Matrix;
@@ -24,19 +27,13 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         unsafe { System.dealloc(p, l) }
     }
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
+        COUNT.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(p, l, new_size) }
+    }
 }
 #[global_allocator]
 static A: Counting = Counting;
-
-/// The counter is process-global and the test harness runs tests on
-/// parallel threads, so one test's set-up allocations would land in
-/// another's measured window. Each test holds this lock for its whole
-/// body.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn steady_state_allocs(label: &str, mut f: impl FnMut()) {
     let measure = |f: &mut dyn FnMut()| {
@@ -73,9 +70,7 @@ fn mk_params(sizes: &[usize]) -> Vec<Param> {
 
 const SIZES: &[usize] = &[64, 7, 128, 33, 16, 250];
 
-#[test]
 fn single_rank_sync_is_alloc_free_for_every_strategy() {
-    let _serial = serial();
     let reducer = AllReducer::new(1, CommCostModel::nvlink3());
     for strategy in [
         AllReduceStrategy::PerTensor,
@@ -90,9 +85,7 @@ fn single_rank_sync_is_alloc_free_for_every_strategy() {
     }
 }
 
-#[test]
 fn multi_rank_sync_is_alloc_free_for_every_strategy() {
-    let _serial = serial();
     const P: usize = 2;
     for strategy in [
         AllReduceStrategy::PerTensor,
@@ -132,9 +125,7 @@ fn multi_rank_sync_is_alloc_free_for_every_strategy() {
     }
 }
 
-#[test]
 fn overlapped_scheduler_fire_path_is_alloc_free() {
-    let _serial = serial();
     let mut params = mk_params(SIZES);
     let mut refs: Vec<&mut Param> = params.iter_mut().collect();
     let mut sched = BucketScheduler::new(BucketLayout::from_sizes(SIZES, 256));
@@ -150,4 +141,42 @@ fn overlapped_scheduler_fire_path_is_alloc_free() {
         sched.finish(&mut refs, &link);
         sched.take_stats();
     });
+}
+
+fn main() {
+    run_probes(&[
+        (
+            "single_rank_sync_is_alloc_free_for_every_strategy",
+            single_rank_sync_is_alloc_free_for_every_strategy,
+        ),
+        (
+            "multi_rank_sync_is_alloc_free_for_every_strategy",
+            multi_rank_sync_is_alloc_free_for_every_strategy,
+        ),
+        (
+            "overlapped_scheduler_fire_path_is_alloc_free",
+            overlapped_scheduler_fire_path_is_alloc_free,
+        ),
+    ]);
+}
+
+/// Run the probes in order, reporting in libtest's line format (`--list`
+/// only lists them). A failing probe panics, which fails the binary.
+fn run_probes(probes: &[(&str, fn())]) {
+    if std::env::args().any(|a| a == "--list") {
+        for (name, _) in probes {
+            println!("{name}: test");
+        }
+        return;
+    }
+    let plural = if probes.len() == 1 { "" } else { "s" };
+    println!("\nrunning {} test{plural}", probes.len());
+    for (name, probe) in probes {
+        probe();
+        println!("test {name} ... ok");
+    }
+    println!(
+        "\ntest result: ok. {} passed; 0 failed; 0 ignored; 0 measured; 0 filtered out\n",
+        probes.len()
+    );
 }

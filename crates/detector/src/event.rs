@@ -8,15 +8,9 @@ use rand::Rng;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
-/// An endcap disk: a plane at `z` instrumented over an annulus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Disk {
-    pub z: f32,
-    pub r_min: f32,
-    pub r_max: f32,
-}
-
-/// Cylindrical barrel detector description, optionally with endcap disks.
+/// Cylindrical barrel detector description. Serialized geometries that
+/// still carry a legacy `"disks"` key load unchanged: unknown fields are
+/// ignored.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DetectorGeometry {
     /// Barrel layer radii in metres, strictly increasing.
@@ -30,9 +24,6 @@ pub struct DetectorGeometry {
     /// Probability that a layer crossing produces a recorded hit
     /// (detector inefficiency; 1.0 = perfect).
     pub hit_efficiency: f32,
-    /// Endcap disks (empty by default; layer ids continue after the
-    /// barrel, ordered as given — keep them sorted by |z|).
-    pub disks: Vec<Disk>,
 }
 
 impl Default for DetectorGeometry {
@@ -43,27 +34,7 @@ impl Default for DetectorGeometry {
             b_field: 2.0,
             hit_sigma: 5e-4,
             hit_efficiency: 1.0,
-            disks: Vec::new(),
         }
-    }
-}
-
-impl DetectorGeometry {
-    /// Barrel plus two symmetric endcap stations per side, just beyond
-    /// the barrel half-length (forward tracks keep producing hits after
-    /// leaving the barrel acceptance).
-    pub fn with_endcaps() -> Self {
-        let mut g = Self::default();
-        let (r_min, r_max) = (0.05, 0.95);
-        for z in [1.3f32, 1.6, -1.3, -1.6] {
-            g.disks.push(Disk { z, r_min, r_max });
-        }
-        g
-    }
-
-    /// Total number of instrumented layers (barrel + disks).
-    pub fn num_layers(&self) -> usize {
-        self.layer_radii.len() + self.disks.len()
     }
 }
 
@@ -73,7 +44,7 @@ pub struct Hit {
     pub x: f32,
     pub y: f32,
     pub z: f32,
-    /// Layer index: `0..B` for barrel layers, `B..B+D` for endcap disks.
+    /// Barrel layer index, innermost first.
     pub layer: u32,
     /// Generating particle, `None` for noise hits.
     pub particle: Option<u32>,
@@ -180,13 +151,12 @@ pub fn simulate_event(
 ) -> Event {
     let smear = Normal::new(0.0f32, geometry.hit_sigma).expect("valid sigma");
     let mut hits = Vec::new();
-    let n_barrel = geometry.layer_radii.len() as u32;
     for pid in 0..n_particles {
         let particle: Particle = gun.sample(rng);
         let helix = Helix::from_particle(&particle, geometry.b_field);
-        // Barrel crossings (inside the acceptance window) plus endcap
-        // crossings (inside the disk annulus), ordered along the track.
-        let mut crossings: Vec<(u32, f32, f32, f32, f32)> = Vec::new();
+        // Barrel crossings, innermost first (arc length grows with the
+        // radius), until the track curls back or leaves the acceptance
+        // window.
         for (layer, &r) in geometry.layer_radii.iter().enumerate() {
             let Some((x, y, z, arc)) = helix.at_radius(r) else {
                 break;
@@ -194,25 +164,13 @@ pub fn simulate_event(
             if z.abs() > geometry.half_length {
                 break;
             }
-            crossings.push((layer as u32, x, y, z, arc));
-        }
-        for (d, disk) in geometry.disks.iter().enumerate() {
-            if let Some((x, y, z, arc)) = helix.at_z(disk.z) {
-                let r = (x * x + y * y).sqrt();
-                if r >= disk.r_min && r <= disk.r_max {
-                    crossings.push((n_barrel + d as u32, x, y, z, arc));
-                }
-            }
-        }
-        crossings.sort_by(|a, b| a.4.partial_cmp(&b.4).unwrap());
-        for (layer, x, y, z, arc) in crossings {
             // Detector inefficiency: the particle crossed, but no hit was
             // recorded (the track continues regardless).
             if geometry.hit_efficiency < 1.0 && !rng.gen_bool(geometry.hit_efficiency as f64) {
                 continue;
             }
             // Smear along the sensitive surface: rotate slightly in φ,
-            // shift z (barrel) — a shared approximation for disks too.
+            // shift z.
             let r = (x * x + y * y).sqrt().max(1e-6);
             let dphi = smear.sample(rng) / r;
             let phi = y.atan2(x) + dphi;
@@ -220,7 +178,7 @@ pub fn simulate_event(
                 x: r * phi.cos(),
                 y: r * phi.sin(),
                 z: z + smear.sample(rng),
-                layer,
+                layer: layer as u32,
                 particle: Some(pid as u32),
                 t: arc,
             });
@@ -228,17 +186,10 @@ pub fn simulate_event(
     }
     let n_noise = (hits.len() as f32 * noise_fraction).round() as usize;
     for _ in 0..n_noise {
-        let layer = rng.gen_range(0..geometry.num_layers());
+        let layer = rng.gen_range(0..geometry.layer_radii.len());
         let phi = rng.gen_range(-std::f32::consts::PI..std::f32::consts::PI);
-        let (r, z) = if layer < geometry.layer_radii.len() {
-            (
-                geometry.layer_radii[layer],
-                rng.gen_range(-geometry.half_length..geometry.half_length),
-            )
-        } else {
-            let disk = &geometry.disks[layer - geometry.layer_radii.len()];
-            (rng.gen_range(disk.r_min..disk.r_max), disk.z)
-        };
+        let r = geometry.layer_radii[layer];
+        let z = rng.gen_range(-geometry.half_length..geometry.half_length);
         hits.push(Hit {
             x: r * phi.cos(),
             y: r * phi.sin(),
@@ -305,7 +256,7 @@ pub fn wrap_phi(dphi: f32) -> f32 {
 /// Build the doublet candidate graph: connect each hit on layer `l` to
 /// hits on layer `l+1` with `|Δφ| <= phi_window` and `|Δz| <= z_window`.
 pub fn candidate_graph(event: &Event, phi_window: f32, z_window: f32) -> CandidateGraph {
-    let n_layers = event.geometry.num_layers();
+    let n_layers = event.geometry.layer_radii.len();
     // Bucket hit indices by layer, sorted by φ for windowed scanning.
     let mut by_layer: Vec<Vec<(f32, u32)>> = vec![Vec::new(); n_layers];
     for (i, h) in event.hits.iter().enumerate() {
@@ -528,68 +479,6 @@ mod tests {
             for w in t.windows(2) {
                 assert!(lossy.hits[w[1] as usize].layer > lossy.hits[w[0] as usize].layer);
             }
-        }
-    }
-
-    #[test]
-    fn endcap_disks_record_forward_hits() {
-        let geom = DetectorGeometry::with_endcaps();
-        let n_barrel = geom.layer_radii.len() as u32;
-        // Forward-going gun: high |eta| so tracks exit through the endcaps.
-        let gun = GunConfig {
-            eta_max: 1.2,
-            pt_min: 1.0,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(31);
-        let ev = simulate_event(&geom, &gun, 300, 0.0, &mut rng);
-        let disk_hits: Vec<&Hit> = ev.hits.iter().filter(|h| h.layer >= n_barrel).collect();
-        assert!(!disk_hits.is_empty(), "no endcap hits recorded");
-        for h in &disk_hits {
-            let disk = &geom.disks[(h.layer - n_barrel) as usize];
-            assert!((h.z - disk.z).abs() < 5e-3, "disk hit off-plane: z {}", h.z);
-            let r = h.r();
-            assert!(
-                r >= disk.r_min - 0.01 && r <= disk.r_max + 0.01,
-                "r {r} outside annulus"
-            );
-        }
-    }
-
-    #[test]
-    fn truth_order_follows_arc_length_with_endcaps() {
-        let geom = DetectorGeometry::with_endcaps();
-        let gun = GunConfig {
-            eta_max: 1.2,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(32);
-        let ev = simulate_event(&geom, &gun, 100, 0.0, &mut rng);
-        for track in ev.truth_tracks() {
-            for w in track.windows(2) {
-                assert!(
-                    ev.hits[w[1] as usize].t >= ev.hits[w[0] as usize].t,
-                    "track not ordered by arc length"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn barrel_only_geometry_is_unchanged_by_endcap_support() {
-        // Barrel-only simulation still produces only barrel layer ids and
-        // truth edges identical in structure (monotone layers).
-        let geom = DetectorGeometry::default();
-        assert!(geom.disks.is_empty());
-        assert_eq!(geom.num_layers(), geom.layer_radii.len());
-        let mut rng = StdRng::seed_from_u64(33);
-        let ev = simulate_event(&geom, &GunConfig::default(), 40, 0.1, &mut rng);
-        assert!(ev
-            .hits
-            .iter()
-            .all(|h| (h.layer as usize) < geom.layer_radii.len()));
-        for &(a, b) in &ev.truth_edges() {
-            assert!(ev.hits[b as usize].layer > ev.hits[a as usize].layer);
         }
     }
 

@@ -57,36 +57,6 @@ impl Helix {
         let z = self.vz + arc * self.cot_theta;
         Some((r * phi.cos(), r * phi.sin(), z, arc))
     }
-
-    /// Position at transverse arc length `s` along the outgoing half-turn:
-    /// the chord from the origin has length `2R·sin(s/2R)` and direction
-    /// `φ0 + turn·s/2R`.
-    pub fn at_arc(&self, s: f32) -> (f32, f32, f32) {
-        let half = s / (2.0 * self.radius);
-        let chord = 2.0 * self.radius * half.sin();
-        let dir = self.phi0 + self.turn * half;
-        (
-            chord * dir.cos(),
-            chord * dir.sin(),
-            self.vz + s * self.cot_theta,
-        )
-    }
-
-    /// First crossing of the plane `z = z_plane` (an endcap disk), if the
-    /// track reaches it while still on its outgoing half-turn: returns
-    /// `(x, y, z, arc)`.
-    pub fn at_z(&self, z_plane: f32) -> Option<(f32, f32, f32, f32)> {
-        if self.cot_theta.abs() < 1e-6 {
-            return None; // central track never reaches the endcaps
-        }
-        let s = (z_plane - self.vz) / self.cot_theta;
-        // Must move forward and stay on the outgoing half-circle.
-        if s <= 0.0 || s > std::f32::consts::PI * self.radius {
-            return None;
-        }
-        let (x, y, z) = self.at_arc(s);
-        Some((x, y, z, s))
-    }
 }
 
 #[cfg(test)]
@@ -161,53 +131,6 @@ mod tests {
         let (_, yp, _, _) = hp.at_radius(0.3).unwrap();
         let (_, ym, _, _) = hm.at_radius(0.3).unwrap();
         assert!(yp * ym < 0.0, "yp {yp} ym {ym}");
-    }
-
-    #[test]
-    fn at_arc_agrees_with_at_radius() {
-        let p = Particle {
-            pt: 1.5,
-            eta: 0.4,
-            phi: -0.8,
-            charge: 1,
-            vz: 0.02,
-        };
-        let h = Helix::from_particle(&p, 2.0);
-        for r in [0.1f32, 0.4, 0.7] {
-            let (x, y, z, arc) = h.at_radius(r).unwrap();
-            let (x2, y2, z2) = h.at_arc(arc);
-            assert!((x - x2).abs() < 1e-5 && (y - y2).abs() < 1e-5 && (z - z2).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn at_z_crossing_lies_on_plane() {
-        let p = Particle {
-            pt: 2.0,
-            eta: 0.8,
-            phi: 0.3,
-            charge: -1,
-            vz: 0.01,
-        };
-        let h = Helix::from_particle(&p, 2.0);
-        let (_, _, z, arc) = h.at_z(0.9).unwrap();
-        assert!((z - 0.9).abs() < 1e-5);
-        assert!(arc > 0.0);
-        // Backward disk unreachable for a forward-going track.
-        assert!(h.at_z(-0.9).is_none());
-    }
-
-    #[test]
-    fn central_track_never_reaches_endcap() {
-        let p = Particle {
-            pt: 1.0,
-            eta: 0.0,
-            phi: 0.0,
-            charge: 1,
-            vz: 0.0,
-        };
-        let h = Helix::from_particle(&p, 2.0);
-        assert!(h.at_z(1.0).is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod spill;
 pub use datasets::{dataset_stats, split_80_10_10, DatasetConfig, DatasetStats, EventGraph};
 pub use event::{
     candidate_graph, simulate_event, tune_phi_window, wrap_phi, CandidateGraph, DetectorGeometry,
-    Disk, Event, Hit,
+    Event, Hit,
 };
 pub use features::{edge_features, vertex_features};
 pub use helix::Helix;

@@ -10,19 +10,6 @@ pub fn kaiming_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Mat
     Matrix::rand_uniform(fan_in, fan_out, -bound, bound, rng)
 }
 
-/// Xavier/Glorot uniform init for tanh/sigmoid layers:
-/// `U(-bound, bound)` with `bound = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
-    let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    Matrix::rand_uniform(fan_in, fan_out, -bound, bound, rng)
-}
-
-/// Gaussian init with std `sqrt(2 / fan_in)` (He normal).
-pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
-    let std = (2.0 / fan_in.max(1) as f32).sqrt();
-    Matrix::randn(fan_in, fan_out, std, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,28 +24,6 @@ mod tests {
         assert_eq!(w.shape(), (50, 20));
         // Not degenerate.
         assert!(w.data().iter().any(|v| v.abs() > bound * 0.5));
-    }
-
-    #[test]
-    fn xavier_uniform_within_bound() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let w = xavier_uniform(30, 10, &mut rng);
-        let bound = (6.0f32 / 40.0).sqrt();
-        assert!(w.data().iter().all(|v| v.abs() <= bound));
-    }
-
-    #[test]
-    fn kaiming_normal_std() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let w = kaiming_normal(100, 100, &mut rng);
-        let mean = w.mean();
-        let var = w
-            .data()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / (w.len() - 1) as f32;
-        assert!((var - 0.02).abs() < 0.005, "var {var}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # trkx-nn
 //!
 //! Neural-network building blocks on top of [`trkx_tensor`]: parameters
-//! and tape bindings, Kaiming/Xavier initialisation, `Linear`/`Mlp`/
+//! and tape bindings, Kaiming initialisation, `Linear`/`Mlp`/
 //! `LayerNorm` modules, SGD/Adam optimizers, and the losses used by the
 //! Exa.TrkX pipeline stages (BCE-with-logits for edge classification,
 //! contrastive hinge for the metric-learning embedding).
@@ -29,7 +29,6 @@
 //! ```
 
 pub mod bucket;
-pub mod dropout;
 pub mod init;
 pub mod linear;
 pub mod loss;
@@ -40,11 +39,10 @@ pub mod param;
 pub mod schedule;
 
 pub use bucket::BucketLayout;
-pub use dropout::Dropout;
 pub use linear::Linear;
 pub use loss::{bce_with_logits, contrastive_hinge_loss, BinaryStats};
 pub use mlp::{Activation, Mlp, MlpConfig};
 pub use norm::LayerNorm;
-pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer, Sgd};
 pub use param::{flatten_grads, unflatten_grads, Bindings, Param};
 pub use schedule::{Constant, CosineAnnealing, LrSchedule, Scheduler, StepDecay, Warmup};

@@ -7,25 +7,11 @@ use crate::param::{Bindings, Param};
 use rand::Rng;
 use trkx_tensor::{Tape, Var};
 
-/// Activation applied between (and optionally after) MLP layers.
+/// Activation applied between MLP layers (the last layer is linear).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     Relu,
     Tanh,
-    Sigmoid,
-    /// No nonlinearity.
-    Identity,
-}
-
-impl Activation {
-    fn apply(self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            Activation::Relu => tape.relu(x),
-            Activation::Tanh => tape.tanh(x),
-            Activation::Sigmoid => tape.sigmoid(x),
-            Activation::Identity => x,
-        }
-    }
 }
 
 /// Configuration for an [`Mlp`].
@@ -35,8 +21,6 @@ pub struct MlpConfig {
     pub sizes: Vec<usize>,
     /// Hidden-layer activation.
     pub activation: Activation,
-    /// Activation after the final layer (usually `Identity` for logits).
-    pub output_activation: Activation,
     /// Insert LayerNorm after each hidden activation (acorn-style).
     pub layer_norm: bool,
 }
@@ -46,18 +30,12 @@ impl MlpConfig {
         Self {
             sizes: sizes.to_vec(),
             activation: Activation::Relu,
-            output_activation: Activation::Identity,
             layer_norm: false,
         }
     }
 
     pub fn with_layer_norm(mut self, on: bool) -> Self {
         self.layer_norm = on;
-        self
-    }
-
-    pub fn with_output_activation(mut self, act: Activation) -> Self {
-        self.output_activation = act;
         self
     }
 
@@ -116,20 +94,20 @@ impl Mlp {
     pub fn forward(&self, tape: &mut Tape, bind: &mut Bindings, mut x: Var) -> Var {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            if i < last {
-                if self.config.activation == Activation::Relu {
+            if i == last {
+                x = layer.forward(tape, bind, x);
+            } else {
+                x = match self.config.activation {
                     // Fused affine+ReLU: one tape node instead of two.
-                    x = layer.forward_relu(tape, bind, x);
-                } else {
-                    x = layer.forward(tape, bind, x);
-                    x = self.config.activation.apply(tape, x);
-                }
+                    Activation::Relu => layer.forward_relu(tape, bind, x),
+                    Activation::Tanh => {
+                        let h = layer.forward(tape, bind, x);
+                        tape.tanh(h)
+                    }
+                };
                 if let Some(ln) = &self.norms[i] {
                     x = ln.forward(tape, bind, x);
                 }
-            } else {
-                x = layer.forward(tape, bind, x);
-                x = self.config.output_activation.apply(tape, x);
             }
         }
         x

@@ -62,15 +62,12 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Adam (Kingma & Ba) with bias correction, and optional decoupled
-/// weight decay (AdamW) via [`Adam::with_weight_decay`].
+/// Adam (Kingma & Ba) with bias correction.
 pub struct Adam {
     pub lr: f32,
     pub beta1: f32,
     pub beta2: f32,
     pub eps: f32,
-    /// Decoupled weight decay coefficient (AdamW); 0 disables.
-    pub weight_decay: f32,
     t: u64,
     m: HashMap<u64, Matrix>,
     v: HashMap<u64, Matrix>,
@@ -83,17 +80,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: HashMap::new(),
             v: HashMap::new(),
         }
-    }
-
-    /// AdamW: decay applied to the weights directly, not the gradient.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
     }
 
     /// Steps taken so far.
@@ -119,8 +109,7 @@ impl Optimizer for Adam {
                 v.data_mut()[i] = vi;
                 let mhat = mi / b1t;
                 let vhat = vi / b2t;
-                let decay = self.lr * self.weight_decay * p.value.data()[i];
-                p.value.data_mut()[i] -= self.lr * mhat / (vhat.sqrt() + self.eps) + decay;
+                p.value.data_mut()[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
         }
     }
@@ -132,26 +121,6 @@ impl Optimizer for Adam {
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
-}
-
-/// Clip the global gradient L2 norm of `params` to `max_norm`. Returns
-/// the pre-clip norm. Standard stabiliser for deep message-passing
-/// networks with summed aggregation (message magnitudes grow with degree).
-pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
-    let total_sq: f32 = params
-        .iter()
-        .map(|p| p.grad.data().iter().map(|g| g * g).sum::<f32>())
-        .sum();
-    let norm = total_sq.sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for p in params.iter_mut() {
-            for g in p.grad.data_mut() {
-                *g *= scale;
-            }
-        }
-    }
-    norm
 }
 
 #[cfg(test)]
@@ -230,40 +199,6 @@ mod tests {
             opt.step(&mut [&mut p]);
         }
         assert!((p.value.get(0, 0) - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn adamw_decays_unused_weights() {
-        // A weight with zero gradient shrinks under AdamW, stays put
-        // under plain Adam.
-        let run = |wd: f32| {
-            let mut p = Param::new("x", Matrix::scalar(1.0));
-            let mut opt = Adam::new(0.1).with_weight_decay(wd);
-            for _ in 0..50 {
-                p.zero_grad();
-                opt.step(&mut [&mut p]);
-            }
-            p.value.as_scalar()
-        };
-        assert_eq!(run(0.0), 1.0);
-        assert!(run(0.1) < 0.7, "weight did not decay: {}", run(0.1));
-    }
-
-    #[test]
-    fn clip_grad_norm_scales_down_only() {
-        let mut a = Param::new("a", Matrix::zeros(1, 2));
-        let mut b = Param::new("b", Matrix::zeros(1, 1));
-        a.grad = Matrix::from_vec(1, 2, vec![3.0, 0.0]);
-        b.grad = Matrix::from_vec(1, 1, vec![4.0]);
-        // Global norm = 5.
-        let norm = clip_grad_norm(&mut [&mut a, &mut b], 1.0);
-        assert!((norm - 5.0).abs() < 1e-6);
-        assert!((a.grad.get(0, 0) - 0.6).abs() < 1e-6);
-        assert!((b.grad.get(0, 0) - 0.8).abs() < 1e-6);
-        // Under the cap: untouched.
-        let norm2 = clip_grad_norm(&mut [&mut a, &mut b], 10.0);
-        assert!((norm2 - 1.0).abs() < 1e-6);
-        assert!((a.grad.get(0, 0) - 0.6).abs() < 1e-6);
     }
 
     #[test]

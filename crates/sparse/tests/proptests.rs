@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use trkx_sparse::{
-    adjacency_with_edge_ids, block_diag, extract_induced_direct, extract_induced_spgemm,
-    selection_matrix, vstack, Coo, Csr,
+    adjacency_with_edge_ids, extract_induced_direct, extract_induced_spgemm, selection_matrix, Coo,
+    Csr,
 };
 
 /// Random sparse matrix as (nrows, ncols, triplets with unique coords).
@@ -96,27 +96,6 @@ proptest! {
     }
 
     #[test]
-    fn spmm_matches_spgemm_on_dense_as_sparse((r, k, ta) in sparse_strategy(8),
-                                              seed in 0u64..100) {
-        use rand::{Rng, SeedableRng, rngs::StdRng};
-        let a = build(r, k, &ta);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = 3usize;
-        let dense: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-        let out = a.spmm(&dense, n);
-        let da = dense_of(&a);
-        for i in 0..r {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += da[i][kk] * dense[kk * n + j];
-                }
-                prop_assert!((out[i * n + j] - acc).abs() < 1e-3);
-            }
-        }
-    }
-
-    #[test]
     fn row_normalize_rows_sum_to_one((r, c, t) in sparse_strategy(10)) {
         // Use absolute values so row sums cannot cancel to ~0.
         let t: Vec<(u32, u32, f32)> = t.iter().map(|&(a, b, v)| (a, b, v.abs() + 0.1)).collect();
@@ -126,47 +105,6 @@ proptest! {
             if !vals.is_empty() {
                 let s: f32 = vals.iter().sum();
                 prop_assert!((s - 1.0).abs() < 1e-4, "row {row} sums to {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn vstack_preserves_rows((r1, c, t1) in sparse_strategy(8), t2 in proptest::collection::vec((0u32..8, 0u32..8, -1.0f32..1.0), 0..10)) {
-        let a = build(r1, c, &t1);
-        let t2: Vec<(u32, u32, f32)> = {
-            let mut seen = std::collections::BTreeMap::new();
-            for &(rr, cc, v) in &t2 { seen.insert((rr % 4, cc % c as u32), v); }
-            seen.into_iter().map(|((rr, cc), v)| (rr, cc, v)).collect()
-        };
-        let b = build(4, c, &t2);
-        let s = vstack(&[&a, &b]);
-        prop_assert_eq!(s.nrows(), a.nrows() + 4);
-        for r in 0..a.nrows() {
-            prop_assert_eq!(s.row(r), a.row(r));
-        }
-        for r in 0..4 {
-            prop_assert_eq!(s.row(a.nrows() + r), b.row(r));
-        }
-    }
-
-    #[test]
-    fn block_diag_keeps_blocks_disjoint((r1, c1, t1) in sparse_strategy(6),
-                                        (r2, c2, t2) in sparse_strategy(6)) {
-        let a = build(r1, c1, &t1);
-        let b = build(r2, c2, &t2);
-        let d = block_diag(&[&a, &b]);
-        prop_assert_eq!(d.nnz(), a.nnz() + b.nnz());
-        // Entries from a stay in the top-left block.
-        for row in 0..r1 {
-            let (cols, _) = d.row(row);
-            for &cc in cols {
-                prop_assert!((cc as usize) < c1);
-            }
-        }
-        for row in 0..r2 {
-            let (cols, _) = d.row(r1 + row);
-            for &cc in cols {
-                prop_assert!((cc as usize) >= c1 && (cc as usize) < c1 + c2);
             }
         }
     }

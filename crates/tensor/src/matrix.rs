@@ -70,30 +70,18 @@ const NR: usize = 16;
 /// multiply-adds per B load instead of 1×NR.
 const MR: usize = 8;
 
-/// Default row-block size: rows of A packed per scratch block. 128 rows
-/// at the model's reduction depths keeps a block's packed panel in L2
-/// while the B panels stay L1-resident (`TRKX_MATMUL_MC` overrides).
-const DEFAULT_MC: usize = 128;
+/// Row-block size: rows of A packed per scratch block (a whole number of
+/// MR tiles). 128 rows at the model's reduction depths keeps a block's
+/// packed panel in L2 while the B panels stay L1-resident.
+const MC: usize = 128;
 
-/// Configured row-block size, rounded up to a whole number of MR tiles
-/// (override: `TRKX_MATMUL_MC`).
-fn matmul_mc() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| {
-        env_usize("TRKX_MATMUL_MC")
-            .unwrap_or(DEFAULT_MC)
-            .max(MR)
-            .next_multiple_of(MR)
-    })
-}
-
-/// Row-block size for an `m`-row product: the configured block size,
-/// shrunk when `m` is small so the pool still sees several blocks (the
-/// `matmul_tn` backward has m = hidden width, not edge count). Block
-/// geometry never affects results, only the parallel split.
+/// Row-block size for an `m`-row product: [`MC`], shrunk when `m` is
+/// small so the pool still sees several blocks (the `matmul_tn` backward
+/// has m = hidden width, not edge count). Block geometry never affects
+/// results, only the parallel split.
 fn mc_for(m: usize) -> usize {
     let target = m.div_ceil(4 * rayon::current_num_threads().max(1));
-    target.next_multiple_of(MR).clamp(MR, matmul_mc())
+    target.next_multiple_of(MR).clamp(MR, MC)
 }
 
 thread_local! {

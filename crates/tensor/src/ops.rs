@@ -59,22 +59,8 @@ pub enum Op {
         parts: Vec<usize>,
         widths: Vec<usize>,
     },
-    /// Column slice `[start, start+width)` of the parent.
-    SliceCols {
-        a: usize,
-        start: usize,
-        width: usize,
-    },
     /// `C = max(A, 0)`.
     Relu { a: usize },
-    /// `C = A` where positive, `alpha * A` otherwise.
-    LeakyRelu { a: usize, alpha: f32 },
-    /// ELU: `A` where positive, `alpha (e^A - 1)` otherwise.
-    Elu { a: usize, alpha: f32 },
-    /// Row-wise softmax (stable, max-shifted).
-    SoftmaxRows { a: usize },
-    /// Logistic sigmoid.
-    Sigmoid { a: usize },
     /// Hyperbolic tangent.
     Tanh { a: usize },
     /// `C[i, :] = A[idx[i], :]`. When a precomputed [`EdgePlan`] for
@@ -115,8 +101,6 @@ pub enum Op {
         targets: Arc<Vec<f32>>,
         pos_weight: f32,
     },
-    /// Mean squared error against a constant target, mean-reduced.
-    Mse { pred: usize, target: Arc<Matrix> },
     /// Per-row LayerNorm with learned gain/offset (`1 x cols` each).
     LayerNorm {
         a: usize,
@@ -124,7 +108,7 @@ pub enum Op {
         beta: usize,
         eps: f32,
     },
-    /// Elementwise multiply by a fixed mask (dropout, label weighting).
+    /// Elementwise multiply by a fixed mask (hinge-loss label weighting).
     MulMask { a: usize, mask: Arc<Matrix> },
 }
 
@@ -146,12 +130,7 @@ impl Op {
             }
             Op::Scale { a, .. }
             | Op::AddScalar { a, .. }
-            | Op::SliceCols { a, .. }
             | Op::Relu { a }
-            | Op::LeakyRelu { a, .. }
-            | Op::Elu { a, .. }
-            | Op::SoftmaxRows { a }
-            | Op::Sigmoid { a }
             | Op::Tanh { a }
             | Op::Gather { a, .. }
             | Op::ScatterAdd { a, .. }
@@ -169,7 +148,6 @@ impl Op {
                 f(*x);
             }
             Op::BceWithLogits { logits, .. } => f(*logits),
-            Op::Mse { pred, .. } => f(*pred),
             Op::LayerNorm { a, gamma, beta, .. } => {
                 f(*a);
                 f(*gamma);
@@ -257,48 +235,9 @@ pub fn forward(op: &Op, values: &[Matrix], pool: &mut BufferPool) -> Matrix {
             Matrix::concat_cols_into(&refs, &mut out);
             out
         }
-        Op::SliceCols { a, start, width } => {
-            let a = &values[*a];
-            let mut out = pool.zeros(a.rows(), *width);
-            a.slice_cols_into(*start, *start + *width, &mut out);
-            out
-        }
         Op::Relu { a } => {
             let mut out = pool.copy_of(&values[*a]);
             out.apply(|v| v.max(0.0));
-            out
-        }
-        Op::LeakyRelu { a, alpha } => {
-            let alpha = *alpha;
-            let mut out = pool.copy_of(&values[*a]);
-            out.apply(|v| if v > 0.0 { v } else { alpha * v });
-            out
-        }
-        Op::Elu { a, alpha } => {
-            let alpha = *alpha;
-            let mut out = pool.copy_of(&values[*a]);
-            out.apply(|v| if v > 0.0 { v } else { alpha * (v.exp() - 1.0) });
-            out
-        }
-        Op::SoftmaxRows { a } => {
-            let mut out = pool.copy_of(&values[*a]);
-            for r in 0..out.rows() {
-                let row = out.row_mut(r);
-                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0f32;
-                for v in row.iter_mut() {
-                    *v = (*v - max).exp();
-                    sum += *v;
-                }
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
-            }
-            out
-        }
-        Op::Sigmoid { a } => {
-            let mut out = pool.copy_of(&values[*a]);
-            out.apply(sigmoid);
             out
         }
         Op::Tanh { a } => {
@@ -406,17 +345,6 @@ pub fn forward(op: &Op, values: &[Matrix], pool: &mut BufferPool) -> Matrix {
                 chunk_sum(x.data(), targets)
             };
             scalar_from(pool, (acc / x.len().max(1) as f64) as f32)
-        }
-        Op::Mse { pred, target } => {
-            let p = &values[*pred];
-            assert_eq!(p.shape(), target.shape(), "mse shape mismatch");
-            let sse: f32 = p
-                .data()
-                .iter()
-                .zip(target.data())
-                .map(|(&pv, &tv)| (pv - tv) * (pv - tv))
-                .sum();
-            scalar_from(pool, sse / p.len().max(1) as f32)
         }
         Op::LayerNorm {
             a,
@@ -614,29 +542,6 @@ pub fn backward_into(
                 off += w;
             }
         }
-        Op::SliceCols { a, start, width } => {
-            let av = &values[*a];
-            let (rows, cols) = (av.rows(), av.cols());
-            if cols == 0 {
-                return;
-            }
-            if let Some(ga) = store.acc(*a, rows, cols) {
-                let (start, width) = (*start, *width);
-                let body = |(r, grow): (usize, &mut [f32])| {
-                    for (g, &s) in grow[start..start + width].iter_mut().zip(grad_out.row(r)) {
-                        *g += s;
-                    }
-                };
-                if rows * width >= par_threshold() {
-                    ga.data_mut()
-                        .par_chunks_mut(cols)
-                        .enumerate()
-                        .for_each(body);
-                } else {
-                    ga.data_mut().chunks_mut(cols).enumerate().for_each(body);
-                }
-            }
-        }
         Op::Relu { a } => {
             let av = &values[*a];
             if let Some(ga) = store.acc(*a, av.rows(), av.cols()) {
@@ -644,58 +549,6 @@ pub fn backward_into(
                     if x > 0.0 {
                         *g += go;
                     }
-                }
-            }
-        }
-        Op::LeakyRelu { a, alpha } => {
-            let av = &values[*a];
-            if let Some(ga) = store.acc(*a, av.rows(), av.cols()) {
-                for ((g, &go), &x) in ga.data_mut().iter_mut().zip(grad_out.data()).zip(av.data()) {
-                    *g += if x > 0.0 { go } else { *alpha * go };
-                }
-            }
-        }
-        Op::Elu { a, alpha } => {
-            // d/dx = 1 for x > 0, else alpha*e^x = y + alpha (from the
-            // stored output y).
-            let av = &values[*a];
-            if let Some(ga) = store.acc(*a, av.rows(), av.cols()) {
-                for (((g, &go), &x), &y) in ga
-                    .data_mut()
-                    .iter_mut()
-                    .zip(grad_out.data())
-                    .zip(av.data())
-                    .zip(out_value.data())
-                {
-                    *g += if x > 0.0 { go } else { go * (y + *alpha) };
-                }
-            }
-        }
-        Op::SoftmaxRows { a } => {
-            // dx_i += y_i * (g_i - sum_j g_j y_j) per row.
-            let (rows, cols) = grad_out.shape();
-            if let Some(ga) = store.acc(*a, rows, cols) {
-                for r in 0..rows {
-                    let y = out_value.row(r);
-                    let go = grad_out.row(r);
-                    let dot: f32 = go.iter().zip(y).map(|(g, yv)| g * yv).sum();
-                    for ((g, &yv), &gv) in ga.row_mut(r).iter_mut().zip(y).zip(go) {
-                        *g += yv * (gv - dot);
-                    }
-                }
-            }
-        }
-        Op::Sigmoid { a } => {
-            // y(1-y) from the stored output.
-            let (rows, cols) = grad_out.shape();
-            if let Some(ga) = store.acc(*a, rows, cols) {
-                for ((g, &go), &y) in ga
-                    .data_mut()
-                    .iter_mut()
-                    .zip(grad_out.data())
-                    .zip(out_value.data())
-                {
-                    *g += go * y * (1.0 - y);
                 }
             }
         }
@@ -847,15 +700,6 @@ pub fn backward_into(
                         .chunks_mut(REDUCE_CHUNK)
                         .enumerate()
                         .for_each(body);
-                }
-            }
-        }
-        Op::Mse { pred, target } => {
-            let p = &values[*pred];
-            let k = 2.0 * grad_out.as_scalar() / p.len().max(1) as f32;
-            if let Some(ga) = store.acc(*pred, p.rows(), p.cols()) {
-                for ((g, &pv), &tv) in ga.data_mut().iter_mut().zip(p.data()).zip(target.data()) {
-                    *g += k * (pv - tv);
                 }
             }
         }

@@ -204,35 +204,8 @@ impl Tape {
         })
     }
 
-    /// Column slice `[start, end)`.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        self.eval(Op::SliceCols {
-            a: a.0,
-            start,
-            width: end - start,
-        })
-    }
-
     pub fn relu(&mut self, a: Var) -> Var {
         self.eval(Op::Relu { a: a.0 })
-    }
-
-    pub fn leaky_relu(&mut self, a: Var, alpha: f32) -> Var {
-        self.eval(Op::LeakyRelu { a: a.0, alpha })
-    }
-
-    /// Exponential linear unit.
-    pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
-        self.eval(Op::Elu { a: a.0, alpha })
-    }
-
-    /// Row-wise softmax (stable).
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        self.eval(Op::SoftmaxRows { a: a.0 })
-    }
-
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.eval(Op::Sigmoid { a: a.0 })
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
@@ -316,14 +289,6 @@ impl Tape {
         })
     }
 
-    /// Mean squared error against a constant target.
-    pub fn mse(&mut self, pred: Var, target: Arc<Matrix>) -> Var {
-        self.eval(Op::Mse {
-            pred: pred.0,
-            target,
-        })
-    }
-
     /// Per-row LayerNorm with learned `gamma`/`beta` (`1 x cols` leaves).
     pub fn layer_norm(&mut self, a: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         self.eval(Op::LayerNorm {
@@ -334,7 +299,7 @@ impl Tape {
         })
     }
 
-    /// Elementwise multiply by a fixed mask (dropout / weighting).
+    /// Elementwise multiply by a fixed mask (hinge-loss label weighting).
     pub fn mul_mask(&mut self, a: Var, mask: Arc<Matrix>) -> Var {
         self.eval(Op::MulMask { a: a.0, mask })
     }

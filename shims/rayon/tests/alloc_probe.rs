@@ -5,7 +5,10 @@
 //! after warmup a parallel `for_each` performs zero heap allocations at
 //! any thread count. This test pins that invariant with a counting
 //! global allocator (which is why it lives in its own integration-test
-//! binary).
+//! binary). The binary runs without the libtest harness
+//! (`harness = false`): `main` runs the probe on the main thread, so no
+//! runner thread allocates inside the measured window, while the pool's
+//! worker threads are counted.
 
 use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,11 +24,14 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         unsafe { System.dealloc(p, l) }
     }
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
+        COUNT.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(p, l, new_size) }
+    }
 }
 #[global_allocator]
 static A: Counting = Counting;
 
-#[test]
 fn parallel_dispatch_allocates_nothing_after_warmup() {
     let mut data = vec![1.0f32; 1 << 20];
     let mut measure = move || {
@@ -52,5 +58,33 @@ fn parallel_dispatch_allocates_nothing_after_warmup() {
         "multi-block dispatch allocated {} times over 100 calls at {} threads",
         allocs,
         rayon::current_num_threads()
+    );
+}
+
+fn main() {
+    run_probes(&[(
+        "parallel_dispatch_allocates_nothing_after_warmup",
+        parallel_dispatch_allocates_nothing_after_warmup,
+    )]);
+}
+
+/// Run the probes in order, reporting in libtest's line format (`--list`
+/// only lists them). A failing probe panics, which fails the binary.
+fn run_probes(probes: &[(&str, fn())]) {
+    if std::env::args().any(|a| a == "--list") {
+        for (name, _) in probes {
+            println!("{name}: test");
+        }
+        return;
+    }
+    let plural = if probes.len() == 1 { "" } else { "s" };
+    println!("\nrunning {} test{plural}", probes.len());
+    for (name, probe) in probes {
+        probe();
+        println!("test {name} ... ok");
+    }
+    println!(
+        "\ntest result: ok. {} passed; 0 failed; 0 ignored; 0 measured; 0 filtered out\n",
+        probes.len()
     );
 }

@@ -169,3 +169,67 @@ fn checkpoint_rejects_mismatched_architecture() {
     let mut params = large.params_mut();
     assert!(ckpt.apply_to(&mut params).is_err());
 }
+
+/// Re-insert the retired endcap list (`"disks":[]`) into every serialized
+/// detector geometry of `json`, as files written before the barrel-only
+/// generator carry it.
+fn with_legacy_disks_key(json: &str) -> String {
+    assert!(json.contains("\"geometry\":{"), "no geometry in {json:.80}");
+    json.replace("\"geometry\":{", "\"geometry\":{\"disks\":[],")
+}
+
+#[test]
+fn dataset_and_event_json_with_legacy_disks_key_still_load() {
+    use trkx::detector::{load_dataset, save_dataset, Event};
+
+    let cfg = DatasetConfig::ex3_like(0.01);
+    let graphs = cfg.generate(2, 13);
+    let path = std::env::temp_dir().join(format!("trkx_it_disks_{}.json", std::process::id()));
+    save_dataset(&path, &cfg, 13, &graphs).unwrap();
+    let json = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, with_legacy_disks_key(&json)).unwrap();
+    let loaded = load_dataset(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(loaded.seed, 13);
+    assert_eq!(loaded.graphs.len(), graphs.len());
+    for (a, b) in graphs.iter().zip(&loaded.graphs) {
+        assert_eq!(a.num_nodes, b.num_nodes);
+        assert_eq!(a.src, b.src);
+        assert_eq!(a.dst, b.dst);
+        assert_eq!(a.labels, b.labels);
+        assert_eq!(a.x, b.x);
+        assert_eq!(a.y, b.y);
+        assert_eq!(a.event.hits, b.event.hits);
+    }
+
+    let event = &graphs[0].event;
+    let legacy = with_legacy_disks_key(&serde_json::to_string(event).unwrap());
+    let parsed: Event = serde_json::from_str(&legacy).unwrap();
+    assert_eq!(parsed.hits, event.hits);
+    assert_eq!(parsed.num_particles, event.num_particles);
+    assert_eq!(parsed.geometry.layer_radii, event.geometry.layer_radii);
+}
+
+#[test]
+fn serve_request_with_legacy_disks_key_reconstructs_identically() {
+    use trkx::serve::{parse_request, Request};
+
+    let (pipeline, test_event) = tiny_trained_pipeline();
+    let event_json = serde_json::to_string(&test_event).unwrap();
+    let line = format!(
+        "{{\"id\":3,\"event\":{}}}",
+        with_legacy_disks_key(&event_json)
+    );
+    let Ok(Request::Event { id, event }) = parse_request(&line) else {
+        panic!("legacy request line did not parse as an event");
+    };
+    assert_eq!(id, 3);
+    assert_eq!(event.hits, test_event.hits);
+    let (plain, legacy) = (
+        pipeline.reconstruct(&test_event),
+        pipeline.reconstruct(&event),
+    );
+    assert_eq!(plain.component_of_hit, legacy.component_of_hit);
+    assert_eq!(plain.edges_kept, legacy.edges_kept);
+    assert_eq!(plain.metrics, legacy.metrics);
+}
